@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input/validation error, 3 solver error
-(non-submodular energy — report serialized to stderr — or an instance too
-large for exhaustive search).
+(non-submodular energy — report serialized to stderr — an instance too
+large for exhaustive search, or an internal failure: a recursion limit or
+a self-check of the library that did not hold).
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
         }
         sys.stderr.write(dumps_json(payload))
         return EXIT_SOLVER
-    except ExhaustiveCapacityExceeded as e:
+    except (ExhaustiveCapacityExceeded, RecursionError, AssertionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SOLVER
     except (

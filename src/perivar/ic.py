@@ -132,9 +132,6 @@ class _ExcessNetwork:
         domain = mu.domain
         admissible, charged, rep = _variant_setup(domain, variant)
         self.domain = domain
-        self.admissible = admissible
-        self.rep = rep
-        self.for_certificate = for_certificate
 
         den = C.denominator
         den = math.lcm(den, cell_penalty.denominator)
@@ -262,8 +259,6 @@ class _ExcessNetwork:
                     )
             else:
                 # charged, massless (or mass that can never count)
-                if W > 0 and rep == CLOSURE and is_charged and len(inc_adm) == 0:
-                    pass  # unreachable mass: ignore
                 if len(inc_adm) == 2:
                     u, v = inc_adm
                     info["through_arc"] = net.add_arc(
@@ -275,12 +270,11 @@ class _ExcessNetwork:
                     )
             self.face_info[face] = info
 
-        self.cell_supply_arc: Dict[Cell, int] = {}
         for c in sorted(mu.cell_weights):
             if c not in admissible:
                 continue
             W = int(mu.cell_weights[c] * den)
-            self.cell_supply_arc[c] = net.add_arc(net.source, self.cell_node[c], W)
+            net.add_arc(net.source, self.cell_node[c], W)
             supply += W
         if pen > 0:
             for c in sorted(admissible):
@@ -316,29 +310,6 @@ class _ExcessNetwork:
                     reaching.add(u)
                     stack.append(u)
         return frozenset(range(net.n_nodes)) - reaching
-
-    def solve_forced(self, cell: Cell, base_value: int) -> Tuple[Fraction, frozenset]:
-        """Excess restricted to sets containing the given cell (incremental).
-
-        ``base_value`` is the max-flow value of the unforced network, whose
-        residual state the network currently holds.
-        """
-        net = self.net
-        snapshot = net.snapshot()
-        n_arcs = len(net.to)
-        net.add_arc(net.source, self.cell_node[cell], self.hard)
-        delta = augment(net)
-        # the hard arc never sits in a finite cut, so base_value + delta is
-        # the min cut over sets containing the forced cell
-        excess = Fraction(self.supply - (base_value + delta), self.den)
-        reach = frozenset(_residual_reachable(net))
-        # undo: drop the forced arc pair and restore capacities
-        net.adj[net.source].pop()
-        net.adj[self.cell_node[cell]].pop()
-        del net.to[n_arcs:]
-        del net.cap[n_arcs:]
-        net.restore(snapshot)
-        return excess, reach
 
 
 def _single_cell_excess(
@@ -394,6 +365,17 @@ def strong_excess(
     The IC with constant C holds iff the returned value is <= 0.  Uses the
     min-cut reduction when every mass face is reducible (all charged face
     weights <= 2C), otherwise exhaustive search below the configured cap.
+
+    One max flow gives the best set, the empty one included.  If only the
+    empty set attains it, one sweep over the sorted admissible cells
+    c_1 < ... < c_n on the solved residual finds the best nonempty set:
+    step i pushes flow from c_i to the sink and c_1..c_{i-1}, then flags
+    c_i as a sink.  The unforced source side holds no cell, so the min cut
+    over sets holding c_i and no earlier cell is the unforced flow plus
+    the flow step i adds (earlier steps' flow nets zero across it).  The
+    first cell lying in any maximizer is the first step to attain the
+    maximum; the witness, the cells reachable from it in the residual, is
+    the inclusion-minimal maximizer holding it, so it holds no earlier cell.
     """
     C = Fraction(C)
     if C < 0:
@@ -427,14 +409,18 @@ def strong_excess(
     if witness.volume > 0:
         return ExcessResult(ZERO, witness, "min-cut")
 
-    # all nonempty sets have negative excess: probe each forced cell
+    # all nonempty sets have negative excess: sweep the cells (see above)
+    net = model.net
+    sinks = [v == net.sink for v in range(net.n_nodes)]
     best: Optional[Fraction] = None
     best_witness: Optional[CellSet] = None
-    for c in sorted(admissible):
-        value, reach = model.solve_forced(c, result.value)
+    for node in model.cell_node.values():  # sorted cell order
+        delta = augment(net, node, sinks)
+        value = Fraction(model.supply - result.value - delta, model.den)
         if best is None or value > best:
             best = value
-            best_witness = model.witness_cells(reach)
+            best_witness = model.witness_cells(_residual_reachable(net, node))
+        sinks[node] = True
     return ExcessResult(best, best_witness, "min-cut")
 
 

@@ -2,9 +2,11 @@
 
 The solver is Dinic's algorithm on arbitrary-precision integers: no
 capacity is ever rounded, so thresholds like theta = 1 or w = 2 stay
-exact.  The canonical minimum cut is the set of nodes reachable from the
-source in the residual graph (the unique inclusion-minimal one), which
-makes every result deterministic and reproducible.
+exact.  ``augment`` runs without recursion and pushes from any node to
+any set of flagged sink nodes, keeping the flow already present.  The
+canonical minimum cut is the set of nodes reachable from the source in
+the residual graph (the unique inclusion-minimal one), which makes every
+result deterministic and reproducible.
 
 ``minimize`` reduces a submodular ``BinaryEnergy`` to a min cut after
 clearing denominators; ``parametric_sweep`` traces the breakpoints of
@@ -83,18 +85,8 @@ class FlowNetwork:
         self.adj[v].append(i + 1)
         return i
 
-    def hard_capacity(self) -> int:
-        """Sentinel capacity no finite cut ever uses: 1 + sum of all capacities."""
-        return 1 + sum(self.cap)
-
     def snapshot(self) -> list:
         return list(self.cap)
-
-    def restore(self, caps: list) -> None:
-        # restoring to fewer arcs than currently present is a caller bug
-        if len(caps) != len(self.cap):
-            raise MalformedNetworkError("snapshot does not match network shape")
-        self.cap = list(caps)
 
 
 @dataclass(frozen=True)
@@ -109,56 +101,71 @@ class CutResult:
         return self.flows[arc_index]
 
 
-def _bfs_levels(net: FlowNetwork, s: int, t: int) -> Optional[list]:
-    level = [-1] * net.n_nodes
-    level[s] = 0
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for i in net.adj[u]:
-            v = net.to[i]
-            if net.cap[i] > 0 and level[v] < 0:
-                level[v] = level[u] + 1
-                q.append(v)
-    return level if level[t] >= 0 else None
+def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list] = None) -> int:
+    """Push flow from ``source`` until no residual path reaches a sink node.
 
-
-def _dfs_push(net: FlowNetwork, level: list, it: list, u: int, t: int, limit: int) -> int:
-    if u == t:
-        return limit
-    pushed_total = 0
-    while it[u] < len(net.adj[u]):
-        i = net.adj[u][it[u]]
-        v = net.to[i]
-        if net.cap[i] > 0 and level[v] == level[u] + 1:
-            pushed = _dfs_push(net, level, it, v, t, min(limit, net.cap[i]))
-            if pushed:
-                net.cap[i] -= pushed
-                net.cap[i ^ 1] += pushed
-                pushed_total += pushed
-                limit -= pushed
-                if limit == 0:
-                    return pushed_total
-        it[u] += 1
-    level[u] = -1
-    return pushed_total
-
-
-def augment(net: FlowNetwork) -> int:
-    """Push additional flow until the residual graph has no s-t path.
-
-    Safe to call repeatedly after adding arcs (incremental resolves).
-    Returns the amount of flow added by this call.
+    ``sinks`` holds one bool per node; a flagged node absorbs any amount of
+    flow.  By default flow runs from the network's source to its sink.  Flow
+    already in the network stays, so repeated calls resolve incrementally.
+    Returns the flow added.  Dinic without recursion: BFS levels up to the
+    first level holding a sink, then level paths walked one at a time, each
+    pushing its bottleneck and retreating to its first saturated arc.
     """
-    s, t = net.source, net.sink
-    inf = 1 + sum(net.cap)
+    adj, to, cap, n = net.adj, net.to, net.cap, net.n_nodes
+    s = net.source if source is None else source
+    if sinks is None:
+        sinks = [False] * n
+        sinks[net.sink] = True
+    if sinks[s]:
+        return 0
     added = 0
     while True:
-        level = _bfs_levels(net, s, t)
-        if level is None:
+        level = {s: 0}  # sparse: a sweep's augments stay local
+        frontier = [s]
+        reached = False
+        while frontier and not reached:
+            nxt = []
+            for u in frontier:
+                up = level[u] + 1
+                for i in adj[u]:
+                    if cap[i] and to[i] not in level:
+                        v = to[i]
+                        level[v] = up
+                        nxt.append(v)
+                        reached = reached or sinks[v]
+            frontier = nxt
+        if not reached:
             return added
-        it = [0] * net.n_nodes
-        added += _dfs_push(net, level, it, s, t, inf)
+        it = {}  # next arc to try, per node
+        path: List[int] = []  # arcs from s to u, one level up each
+        u = s
+        while True:
+            if sinks[u]:
+                residual = [cap[i] for i in path]
+                push = min(residual)
+                for i in path:
+                    cap[i] -= push
+                    cap[i ^ 1] += push
+                added += push
+                del path[residual.index(push):]  # retreat to the first saturated arc
+                u = to[path[-1]] if path else s
+                continue
+            arcs, k, up = adj[u], it.get(u, 0), level[u] + 1
+            end = len(arcs)
+            while k < end:
+                i = arcs[k]
+                if cap[i] and level.get(to[i]) == up:
+                    break
+                k += 1
+            it[u] = k
+            if k < end:
+                path.append(i)
+                u = to[i]
+            elif path:
+                level[u] = -1  # dead end for the rest of the phase
+                u = to[path.pop() ^ 1]
+            else:
+                break
 
 
 def max_flow(net: FlowNetwork, initial_caps: Optional[list] = None) -> CutResult:
@@ -182,9 +189,11 @@ def max_flow(net: FlowNetwork, initial_caps: Optional[list] = None) -> CutResult
     return CutResult(value=value, source_side=frozenset(reach), flows=flows)
 
 
-def _residual_reachable(net: FlowNetwork) -> set:
-    seen = {net.source}
-    q = deque([net.source])
+def _residual_reachable(net: FlowNetwork, start: Optional[int] = None) -> set:
+    """Nodes reachable from ``start`` (default: the source) in the residual."""
+    start = net.source if start is None else start
+    seen = {start}
+    q = deque([start])
     while q:
         u = q.popleft()
         for i in net.adj[u]:

@@ -128,22 +128,47 @@ def minimize_over(
     return best, argmins
 
 
-def max_excess(dims, face_weights, cell_weights, C, penalty=ZERO, rep="closure"):
-    """Max of mu(rep(A)) - C P(A) - penalty |A| over nonempty subsets."""
+def excess_maximizers(
+    dims,
+    face_weights,
+    cell_weights,
+    C,
+    penalty=ZERO,
+    rep="closure",
+    cells=None,
+    charged=None,
+):
+    """(max, every maximizer) of mu(rep(A)) - C P(A) - penalty |A|.
+
+    A ranges over the nonempty subsets of ``cells`` (default: the whole
+    grid) and P counts the crossed faces of ``charged`` (default: all).
+    Maximizers are listed in enumeration order: by size, then
+    lexicographically.
+    """
     C = Fraction(C)
     penalty = Fraction(penalty)
     mass = closure_mass if rep == "closure" else interior_mass
-    cells = all_cells(dims)
+    cells = sorted(all_cells(dims) if cells is None else cells)
     best = None
-    best_set = None
+    maximizers = []
     for r in range(1, len(cells) + 1):
         for combo in itertools.combinations(cells, r):
             A = frozenset(combo)
             val = (
                 mass(dims, A, face_weights, cell_weights)
-                - C * perimeter(dims, A)
+                - C * perimeter(dims, A, charged)
                 - penalty * len(A)
             )
             if best is None or val > best:
-                best, best_set = val, A
-    return best, best_set
+                best, maximizers = val, [A]
+            elif val == best:
+                maximizers.append(A)
+    return best, maximizers
+
+
+def max_excess(dims, face_weights, cell_weights, C, penalty=ZERO, rep="closure"):
+    """Max of mu(rep(A)) - C P(A) - penalty |A| over nonempty subsets."""
+    best, maximizers = excess_maximizers(
+        dims, face_weights, cell_weights, C, penalty, rep
+    )
+    return best, maximizers[0]

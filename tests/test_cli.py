@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from perivar import CellSet, GridDomain
+from perivar import cli
 from perivar.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from perivar.fileio import parse_rational, write_mask
 
@@ -190,3 +191,24 @@ def test_solver_cap_exit_3(tmp_path):
         ["ic", "strong", "--problem", problem, "--out", str(tmp_path / "o"), "--cap", "10"]
     )
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RecursionError("maximum recursion depth exceeded"),
+        AssertionError("decoded certificate failed verification"),
+    ],
+)
+def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "strong_excess", broken)
+    problem = write_problem(tmp_path, line_problem())
+    code = main(["ic", "strong", "--problem", problem, "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(error) in err
+    assert "Traceback" not in err

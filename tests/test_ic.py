@@ -110,6 +110,76 @@ def test_cell_penalty_shifts_by_volume(rng):
         assert res.value == best
 
 
+def test_strong_excess_deep_chain():
+    # a long 1D chain: no flow path length may hit a recursion limit
+    d = GridDomain((10_000,))
+    mu = MeasureData(d, cell_weights={(0,): F(1)})
+    res = strong_excess(mu, 1)
+    assert res.value == -1
+    assert res.witness.cells == frozenset({(0,)})
+
+
+def _first_cell_witness(maximizers):
+    """Intersection of the maximizers holding the least cell of any maximizer."""
+    first = min(c for A in maximizers for c in A)
+    return frozenset.intersection(*(A for A in maximizers if first in A))
+
+
+def test_sweep_value_and_witness_rule_match_enumeration(rng):
+    # instances where every nonempty set loses, so strong_excess sweeps the
+    # cells; the witness rule fixes which of several tied maximizers wins
+    seen = dict.fromkeys(("plain", "interior-rep", "relative", "avoid-ball"), 0)
+    tied = 0
+    for _ in range(2000):
+        if min(seen.values()) >= 8:
+            break
+        kind = rng.choice(sorted(seen))
+        rep, cells, charged = "closure", None, None
+        if kind == "avoid-ball":
+            d = GridDomain(rng.choice([(3, 3), (5,), (5, 3)]))
+            radius = 1 if d.dims == (5, 3) else 0
+            variant = ICVariant.avoid_ball(radius)
+            cells = [
+                c
+                for c in naive.all_cells(d.dims)
+                if not all(
+                    abs(2 * x - (n - 1)) <= 2 * radius for x, n in zip(c, d.dims)
+                )
+            ]
+        else:
+            d = GridDomain(rng.choice([(3, 3), (4, 2), (2, 2, 2), (5,)]))
+            if kind == "plain":
+                variant = ICVariant.plain()
+            elif kind == "interior-rep":
+                variant, rep = ICVariant.interior_rep(), "interior"
+            else:
+                cells = [c for c in naive.all_cells(d.dims) if rng.random() < 0.7]
+                if not cells:
+                    continue
+                variant = ICVariant.relative(Region.of(d, cells))
+                charged = [
+                    f
+                    for f in naive.all_faces(d.dims)
+                    if all(side in cells for side in naive.face_sides(d.dims, f))
+                ]
+        mu = rand_measure(rng, d, n_faces=rng.randint(0, 3), n_cells=rng.randint(0, 1))
+        C = F(rng.randint(2, 4), 2)
+        pen = rng.choice([F(0), F(0), F(1, 2)])
+        fw, cw = as_raw(mu)
+        best, maximizers = naive.excess_maximizers(
+            d.dims, fw, cw, C, pen, rep, cells=cells, charged=charged
+        )
+        if best >= 0:
+            continue  # answered before the sweep
+        res = strong_excess(mu, C, variant, cell_penalty=pen, method="min-cut")
+        assert res.value == best
+        assert res.witness.cells == _first_cell_witness(maximizers)
+        seen[kind] += 1
+        tied += len(maximizers) > 1
+    assert min(seen.values()) >= 8
+    assert tied
+
+
 def test_non_reducible_instances_fall_back_or_raise():
     d = GridDomain((8, 8))
     # interior line heavier than 2C is not cut-representable

@@ -20,7 +20,7 @@ from perivar import (
     minimize,
     parametric_sweep,
 )
-from perivar.maxflow import cut_capacity
+from perivar.maxflow import _residual_reachable, augment, cut_capacity
 
 F = Fraction
 
@@ -60,6 +60,81 @@ def test_max_flow_equals_min_cut_enumerated(rng):
         )
         assert result.value == best
         assert cut_capacity(net, result.source_side, caps) == result.value
+
+
+def test_augment_long_path_without_recursion():
+    net = FlowNetwork()
+    u = net.source
+    for _ in range(100_000):
+        v = net.add_node()
+        net.add_arc(u, v, 2)
+        u = v
+    net.add_arc(u, net.sink, 1)
+    assert augment(net) == 1
+    assert len(_residual_reachable(net)) == net.n_nodes - 1
+
+
+def _cut_value(net, side, caps):
+    """Capacity of every arc (reverse arcs included) leaving ``side``."""
+    return sum(
+        caps[i]
+        for i in range(len(caps))
+        if net.to[i ^ 1] in side and net.to[i] not in side
+    )
+
+
+def test_augment_with_sink_flags_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+
+    def nx_value(net, caps, source, flagged):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(net.n_nodes))
+        for i, c in enumerate(caps):
+            u, v = net.to[i ^ 1], net.to[i]
+            if g.has_edge(u, v):
+                g[u][v]["capacity"] += c
+            else:
+                g.add_edge(u, v, capacity=c)
+        for v in flagged:
+            g.add_edge(v, "super-sink")  # no capacity attribute: unbounded
+        return nx.maximum_flow_value(g, source, "super-sink")
+
+    for _ in range(60):
+        net = FlowNetwork()
+        for _ in range(5):
+            net.add_node()
+        for u in range(net.n_nodes):
+            for v in range(net.n_nodes):
+                if u != v and rng.random() < 0.35:
+                    net.add_arc(u, v, rng.randint(0, 6), rng.choice([0, 0, 2]))
+        caps = net.snapshot()
+        source = rng.randrange(net.n_nodes)
+        others = [v for v in range(net.n_nodes) if v != source]
+        rng.shuffle(others)
+        flagged = set(others[: rng.randint(1, 3)])
+        sinks = [v in flagged for v in range(net.n_nodes)]
+        total = augment(net, source, sinks)
+        assert total == nx_value(net, caps, source, flagged)
+
+        # the residual reach is the intersection of all minimum cuts
+        free = [v for v in others if v not in flagged]
+        cuts = [
+            frozenset({source, *side})
+            for r in range(len(free) + 1)
+            for side in itertools.combinations(free, r)
+        ]
+        assert min(_cut_value(net, S, caps) for S in cuts) == total
+        reach = _residual_reachable(net, source)
+        assert reach == frozenset.intersection(
+            *(S for S in cuts if _cut_value(net, S, caps) == total)
+        )
+
+        # flagging one more node keeps the flow: the totals add up
+        extra = others[len(flagged)]
+        flagged.add(extra)
+        sinks[extra] = True
+        total += augment(net, source, sinks)
+        assert total == nx_value(net, caps, source, flagged)
 
 
 def test_minimize_matches_exhaustive(rng):
