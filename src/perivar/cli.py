@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import experiments
 from .energy import (
-    Dirichlet,
     FullSpace,
     MeasureSupportError,
     assemble,
@@ -35,7 +34,7 @@ from .fileio import (
     write_json,
     write_mask,
 )
-from .grid import CellSet, Region, perimeter
+from .grid import CellSet, perimeter
 from .ic import (
     ICVariant,
     Infeasible,

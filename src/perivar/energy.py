@@ -10,7 +10,7 @@ the functional exactly; ``check_submodular`` reports the per-face margins
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
@@ -19,7 +19,6 @@ from .grid import (
     CellSet,
     Face,
     GridDomain,
-    PerimeterMode,
     Region,
     _check_same_domain,
 )

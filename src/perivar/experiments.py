@@ -11,18 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .energy import FullSpace, assemble, evaluate
 from .fileio import write_csv, write_json
-from .grid import CellSet, Face, GridDomain, Region, perimeter
-from .ic import ICVariant, capacity, small_volume_profile, strong_excess
+from .grid import CellSet, Face, GridDomain, perimeter
+from .ic import capacity, small_volume_profile, strong_excess
 from .measure import (
     MeasureData,
     SignedPair,
     boundary_measure,
     mass_on_closure,
-    scale,
 )
 from .render import write_svg
 from .solve import solve_obstacle

@@ -492,15 +492,13 @@ def small_volume_profile(
             entries.append(ProfileEntry(v, running, "exhaustive-exact", False))
         return ICProfile(tuple(entries))
 
-    model_ok = _ExcessNetwork(mu, C, variant, cell_penalty).reducible
-    if not model_ok:
-        raise ExhaustiveCapacityExceeded(len(admissible), cap)
-
     # Lagrangian sweep over lam >= 0: g(lam) = max over nonempty A of
     # f(A) - lam |A|; witnesses give exact profile values at their volumes.
+    # The cap passes down, so a non-reducible instance (the penalty does
+    # not change reducibility) raises ExhaustiveCapacityExceeded at once.
     def g(lam: Fraction):
         res = strong_excess(
-            mu, C, variant, cell_penalty=cell_penalty + lam, method="min-cut"
+            mu, C, variant, cell_penalty=cell_penalty + lam, exhaustive_cap=cap
         )
         return res.value, res.witness
 

@@ -1,9 +1,12 @@
 """Exhaustive enumeration oracles for desk-scale instances.
 
 These scans walk all subsets of an admissible cell pool in Gray-code
-order, updating perimeter and measure masses incrementally in cleared
-integer arithmetic.  They are the brute-force side of every dual-route
-check in the package: independent of the min-cut reduction, and exact.
+order, in cleared integer arithmetic.  Each step flips one cell, and
+since every face has at most two incident cells, the value changes by an
+amount fixed by that cell and the states of its admissible neighbours:
+one lookup in a per-cell table keyed by the neighbour bits.  They are
+the brute-force side of every dual-route check in the package:
+independent of the min-cut reduction, and exact.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ def scan_excess(
     cell is selected) or INTERIOR (counts when both incident cells are
     selected; faces with an inadmissible or exterior side never count).
     Only nonempty subsets of ``admissible`` compete.
+
+    Cell i of the sorted pool is bit i.  Per cell, a table keyed by the
+    bits of the cell and its admissible neighbours holds the flip delta,
+    folding in the cell's mass and penalty, each crossed face's charge and
+    the CLOSURE/INTERIOR mass rule; a Gray step is one lookup.  Ties go to
+    the set reached first in Gray order (step g visits the bits of
+    g ^ (g >> 1)), both overall and at each volume.
     """
     cells = sorted(admissible)
     n = len(cells)
@@ -75,110 +85,85 @@ def scan_excess(
     for w in cell_masses.values():
         den = math.lcm(den, w.denominator)
 
-    # per-face bookkeeping: a slot in the count array plus scaled deltas
-    face_slot: Dict[Face, int] = {}
-    # per admissible cell: list of (slot, charge_scaled, mass_scaled, need)
-    touch: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(n)]
-
-    def slot_of(face: Face) -> int:
-        if face not in face_slot:
-            face_slot[face] = len(face_slot)
-        return face_slot[face]
-
-    relevant = set(charged_faces) | set(mass_faces)
-    for face in sorted(relevant):
-        inc = domain.face_cells(face)
-        inc_adm = [c for c in inc if c in adm]
-        if not inc_adm:
-            continue
-        charge = int(charged_faces.get(face, Fraction(0)) * den)
-        mass = 0
-        need = 1
-        if face in mass_faces:
-            w, rep = mass_faces[face]
-            if rep == INTERIOR:
-                if len(inc) == 2 and len(inc_adm) == 2:
-                    mass = int(w * den)
-                    need = 2
-                # else the face can never be interior to a scanned set
-            else:
-                mass = int(w * den)
-                need = 1
-        if charge == 0 and mass == 0:
-            continue
-        s = slot_of(face)
-        for c in inc_adm:
-            touch[idx[c]].append((s, charge, mass, need))
-
-    cell_gain = [0] * n  # cell mass minus volume penalty, scaled
-    pen = int(cell_penalty * den)
+    # links[i][j] = [d0, d1]: the change from cell i entering while its
+    # neighbour j is out / in.  A face with one admissible side folds into
+    # the cell's gain.
+    cell_gain = [-int(cell_penalty * den)] * n  # cell mass minus penalty, scaled
     for c, w in cell_masses.items():
         if c in adm:
             cell_gain[idx[c]] += int(w * den)
+    links: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+    for face in set(charged_faces) | set(mass_faces):
+        inc_adm = [idx[c] for c in domain.face_cells(face) if c in adm]
+        if not inc_adm:
+            continue
+        charge = int(charged_faces.get(face, Fraction(0)) * den)
+        mass, need = 0, 1
+        if face in mass_faces:
+            w, rep = mass_faces[face]
+            if rep == CLOSURE:
+                mass = int(w * den)
+            elif len(inc_adm) == 2:
+                mass, need = int(w * den), 2
+            # else the face can never be interior to a scanned set
+        if len(inc_adm) == 1:
+            cell_gain[inc_adm[0]] += mass - charge
+            continue
+        # entering with the other side out crosses the face; with it in,
+        # the crossing closes
+        out_delta = (mass if need == 1 else 0) - charge
+        in_delta = (mass if need == 2 else 0) + charge
+        for i, j in (inc_adm, inc_adm[::-1]):
+            d = links[i].setdefault(j, [0, 0])
+            d[0] += out_delta
+            d[1] += in_delta
+
+    # Per cell: a mask of the cell and its neighbours, and the flip delta
+    # for every state under that mask.  An entering cell's own bit is set
+    # after the flip; a leaving cell sees the same neighbours and takes the
+    # negated delta.
+    bit_of = [1 << i for i in range(n)]
+    flip_mask = bit_of[:]
+    table: List[Dict[int, int]] = []
     for i in range(n):
-        cell_gain[i] -= pen
+        enter = {0: cell_gain[i] + sum(d0 for d0, _ in links[i].values())}
+        for j, (d0, d1) in links[i].items():
+            flip_mask[i] |= bit_of[j]
+            for m, v in list(enter.items()):
+                enter[m | bit_of[j]] = v + d1 - d0
+        entries = {m: -v for m, v in enter.items()}
+        entries.update((m | bit_of[i], v) for m, v in enter.items())
+        table.append(entries)
 
-    counts = [0] * max(len(face_slot), 1)
-    in_set = [False] * n
+    # A full Gray walk reaches every volume 1..n: keep each volume's first
+    # strict maximum, then the overall one is the best of those, ties going
+    # to the earliest in Gray order.
+    floor = -1 - sum(max(t.values()) for t in table)  # below every set's value
+    vol_value = [floor] * (n + 1)
+    vol_first = [0] * (n + 1)
+    vol_bits = [0] * (n + 1)
     value = 0  # mass - charge - penalty, scaled
-    best_value = None
-    best_bits = None
-    best_at_volume: List[Optional[Tuple[int, int]]] = [None] * (n + 1)
-    volume = 0
     bits = 0
-
     for g in range(1, 1 << n):
         i = (g & -g).bit_length() - 1
-        entering = not in_set[i]
-        in_set[i] = entering
-        if entering:
-            bits |= 1 << i
-            volume += 1
-            value += cell_gain[i]
-            for s, charge, mass, need in touch[i]:
-                c0 = counts[s]
-                counts[s] = c0 + 1
-                if charge:
-                    # crossing iff exactly one selected incident cell
-                    if c0 == 0:
-                        value -= charge
-                    elif c0 == 1:
-                        value += charge
-                if mass and c0 + 1 == need:
-                    value += mass
-        else:
-            bits &= ~(1 << i)
-            volume -= 1
-            value -= cell_gain[i]
-            for s, charge, mass, need in touch[i]:
-                c0 = counts[s]
-                counts[s] = c0 - 1
-                if charge:
-                    if c0 == 1:
-                        value += charge
-                    elif c0 == 2:
-                        value -= charge
-                if mass and c0 == need:
-                    value -= mass
-        if volume == 0:
-            continue
-        if best_value is None or value > best_value:
-            best_value = value
-            best_bits = bits
-        prev = best_at_volume[volume]
-        if prev is None or value > prev[0]:
-            best_at_volume[volume] = (value, bits)
+        bits ^= bit_of[i]
+        value += table[i][bits & flip_mask[i]]
+        volume = bits.bit_count()
+        if value > vol_value[volume]:
+            vol_value[volume] = value
+            vol_first[volume] = g
+            vol_bits[volume] = bits
+    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_first[v]))
 
     def to_set(b: int) -> CellSet:
         return CellSet.of(domain, [cells[i] for i in range(n) if b >> i & 1])
 
-    per_volume = tuple(
-        None if e is None else (Fraction(e[0], den), to_set(e[1]))
-        for e in best_at_volume
+    per_volume = (None,) + tuple(
+        (Fraction(vol_value[v], den), to_set(vol_bits[v])) for v in range(1, n + 1)
     )
     return ScanResult(
-        best_value=Fraction(best_value, den),
-        best_set=to_set(best_bits),
+        best_value=per_volume[best][0],
+        best_set=per_volume[best][1],
         best_at_volume=per_volume,
     )
 

@@ -18,13 +18,12 @@ from .energy import (
     BinaryEnergy,
     Dirichlet,
     FullSpace,
-    add_volume_term,
     assemble,
     evaluate,
     freeze,
 )
 from .grid import CellSet, Region, _check_same_domain
-from .maxflow import minimize, parametric_sweep
+from .maxflow import _common_denominator, minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
 from .oracle import scan_functional_minimum
 from .ic import resolve_cap
@@ -100,18 +99,39 @@ def solve_dirichlet(
 
 
 def _greedy_resize(energy: BinaryEnergy, start: CellSet, target: int) -> CellSet:
-    """Move |A| to the target one best single-cell flip at a time."""
+    """Move |A| to the target one best single-cell flip at a time.
+
+    Each step takes the first cell, in sorted order, whose flip gives the
+    strictly lowest energy.  Flips are scored by their integer delta over
+    the common denominator: the cell's unary gain plus, per face term, the
+    cost change on that cell's side given whether the neighbour is in.
+    """
+    den = _common_denominator(energy)
+    gain = {c: int((e1 - e0) * den) for c, (e0, e1) in energy.unary.items()}
+    # cell -> [(neighbour, delta of entering while it is out, ... while in)]
+    links = {c: [] for c in energy.free_cells}
+    for term in energy.face_terms.values():
+        (e00, e01), (e10, e11) = term.table
+        links[term.lower].append(
+            (term.upper, int((e10 - e00) * den), int((e11 - e01) * den))
+        )
+        links[term.upper].append(
+            (term.lower, int((e01 - e00) * den), int((e11 - e10) * den))
+        )
     current = set(start.cells)
     free = set(energy.free_cells)
     while len(current) != target:
         grow = len(current) < target
         candidates = (free - current) if grow else (current & free)
-        best_cell, best_val = None, None
+        best_cell, best_delta = None, None
         for c in sorted(candidates):
-            trial = (current | {c}) if grow else (current - {c})
-            val = evaluate(energy, CellSet.of(start.domain, trial))
-            if best_val is None or val < best_val:
-                best_cell, best_val = c, val
+            delta = gain[c]
+            for other, if_out, if_in in links[c]:
+                delta += if_in if other in current else if_out
+            if not grow:
+                delta = -delta
+            if best_delta is None or delta < best_delta:
+                best_cell, best_delta = c, delta
         if best_cell is None:
             raise EmptyClassError("no free cells left to reach the target volume")
         current = (current | {best_cell}) if grow else (current - {best_cell})

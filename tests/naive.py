@@ -172,3 +172,44 @@ def max_excess(dims, face_weights, cell_weights, C, penalty=ZERO, rep="closure")
         dims, face_weights, cell_weights, C, penalty, rep
     )
     return best, maximizers[0]
+
+
+def gray_scan(
+    dims,
+    face_weights,
+    cell_weights,
+    C,
+    penalty=ZERO,
+    rep="closure",
+    cells=None,
+    charged=None,
+):
+    """Walk mu(rep(A)) - C P(A) - penalty |A| over nonempty A in Gray order.
+
+    Step g = 1 .. 2^n - 1 takes the set whose members are the sorted
+    ``cells`` (default: the whole grid) at the bits of g ^ (g >> 1); P
+    counts the crossed faces of ``charged`` (default: all).  Returns
+    (best value, best set, per_volume), where per_volume[v] is the best
+    (value, set) of volume v (None at v = 0).  Each keeps the first strict
+    maximum in walk order.
+    """
+    C = Fraction(C)
+    penalty = Fraction(penalty)
+    mass = closure_mass if rep == "closure" else interior_mass
+    cells = sorted(all_cells(dims) if cells is None else cells)
+    charged = all_faces(dims) if charged is None else charged
+    best = None
+    per_volume = [None] * (len(cells) + 1)
+    for g in range(1, 1 << len(cells)):
+        gray = g ^ (g >> 1)
+        A = frozenset(c for i, c in enumerate(cells) if gray >> i & 1)
+        val = (
+            mass(dims, A, face_weights, cell_weights)
+            - C * perimeter(dims, A, charged)
+            - penalty * len(A)
+        )
+        if best is None or val > best[0]:
+            best = (val, A)
+        if per_volume[len(A)] is None or val > per_volume[len(A)][0]:
+            per_volume[len(A)] = (val, A)
+    return best[0], best[1], per_volume

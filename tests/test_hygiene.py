@@ -1,0 +1,39 @@
+"""Static checks on the package source (no linter is a dependency)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "perivar"
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # string annotations such as "ICVariant" name their types in the text
+    annotations = [
+        ann
+        for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if ann is not None
+    ]
+    for const in (c for ann in annotations for c in ast.walk(ann)):
+        if isinstance(const, ast.Constant) and isinstance(const.value, str):
+            inner = ast.parse(const.value, mode="eval")
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_module_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
+    assert not found, "imported but never used: " + ", ".join(found)

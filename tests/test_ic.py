@@ -195,6 +195,13 @@ def test_non_reducible_instances_fall_back_or_raise():
     assert res.value == best
 
 
+def test_profile_above_cap_rejects_non_reducible():
+    d = GridDomain((8, 8))
+    mu = hyperplane_measure(d, 1, 4, F(9, 4))
+    with pytest.raises(ExhaustiveCapacityExceeded):
+        small_volume_profile(mu, 1)
+
+
 def test_profile_exhaustive_matches_naive(rng):
     for _ in range(10):
         d = GridDomain((3, 3))

@@ -3,14 +3,18 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_cellset, rand_submodular_pair
+from conftest import as_raw, rand_cellset, rand_submodular_pair, rand_weight
 from perivar import (
     CellSet,
+    Dirichlet,
     EmptyClassError,
+    FullSpace,
     GridDomain,
     MeasureData,
     Region,
     SignedPair,
+    assemble,
+    evaluate,
     hyperplane_measure,
     perimeter,
     solve_dirichlet,
@@ -18,6 +22,7 @@ from perivar import (
     solve_volume,
     volume,
 )
+from perivar.solve import _greedy_resize
 
 F = Fraction
 
@@ -160,3 +165,61 @@ def test_solve_scaling_argmin_invariance(rng):
         )
         assert big.minimizer.cells == base.minimizer.cells
         assert big.value == lam * base.value
+
+
+def _greedy_resize_by_evaluate(energy, start, target):
+    """Slow route: score each candidate flip by a whole-energy evaluation."""
+    current = set(start.cells)
+    free = set(energy.free_cells)
+    while len(current) != target:
+        grow = len(current) < target
+        candidates = (free - current) if grow else (current & free)
+        best_cell, best_val = None, None
+        for c in sorted(candidates):
+            trial = (current | {c}) if grow else (current - {c})
+            val = evaluate(energy, CellSet.of(start.domain, trial))
+            if best_val is None or val < best_val:
+                best_cell, best_val = c, val
+        current = (current | {best_cell}) if grow else (current - {best_cell})
+    return CellSet.of(start.domain, current)
+
+
+def _rand_signed_measure(rng, domain, faces, cells):
+    dens = (1, 2, 3, 5, 7)
+    return MeasureData(
+        domain,
+        cell_weights={
+            c: rand_weight(rng, 0, 2, dens) for c in rng.sample(cells, min(2, len(cells)))
+        },
+        face_weights={
+            f: rand_weight(rng, 0, 3, dens) for f in rng.sample(faces, min(5, len(faces)))
+        },
+    )
+
+
+def test_greedy_resize_matches_evaluate_route(rng):
+    for trial in range(40):
+        d = GridDomain(rng.choice([(4, 4), (9,), (3, 2, 2), (5, 3)]))
+        cells = list(d.cells())
+        if trial % 2:
+            mode = FullSpace()
+            faces = list(d.faces())
+            free = cells
+        else:
+            omega = Region.of(d, [c for c in cells if rng.random() < 0.7] or cells[:2])
+            # frozen cells outside omega, some of them in the set
+            mode = Dirichlet(a0=rand_cellset(rng, d), omega=omega)
+            faces = sorted(omega.closure_faces())
+            free = sorted(omega.cells)
+        pair = SignedPair(
+            _rand_signed_measure(rng, d, faces, free),
+            _rand_signed_measure(rng, d, faces, free),
+        )
+        energy = assemble(pair, mode, rng.choice([F(1), F(1, 2), F(3, 4)]))
+        ones = energy.frozen_ones()
+        for _ in range(4):
+            start = energy.full_set(frozenset(c for c in free if rng.random() < 0.5))
+            target = len(ones) + rng.randint(0, len(free))
+            want = _greedy_resize_by_evaluate(energy, start, target)
+            assert _greedy_resize(energy, start, target) == want
+            assert want.volume == target
