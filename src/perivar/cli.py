@@ -24,6 +24,7 @@ from .energy import (
 from .fileio import (
     ProblemFile,
     ProblemFileError,
+    _parse_cellset,
     dumps_json,
     format_rational,
     load_problem,
@@ -34,7 +35,7 @@ from .fileio import (
     write_json,
     write_mask,
 )
-from .grid import CellSet, perimeter
+from .grid import perimeter
 from .ic import (
     ICVariant,
     Infeasible,
@@ -57,18 +58,6 @@ EXIT_SOLVER = 3
 
 class CliInputError(Exception):
     pass
-
-
-def _cellset_from_spec(pf: ProblemFile, obj: Optional[dict], default_all: bool) -> CellSet:
-    if obj is None:
-        return CellSet.full(pf.domain) if default_all else CellSet.empty(pf.domain)
-    if obj.get("all"):
-        return CellSet.full(pf.domain)
-    cells = [tuple(c) for c in obj.get("cells", [])]
-    for c in cells:
-        if not pf.domain.contains_cell(c):
-            raise CliInputError(f"cell {c} outside grid {pf.domain.dims}")
-    return CellSet.of(pf.domain, cells)
 
 
 def _variant_from_options(pf: ProblemFile) -> ICVariant:
@@ -130,12 +119,12 @@ def _solve_from_problem(pf: ProblemFile, cap: Optional[int]):
         raise CliInputError("problem file has no 'problem' section")
     kind = spec["kind"]
     if kind == "obstacle":
-        inner = _cellset_from_spec(pf, spec.get("inner"), default_all=False)
-        outer = _cellset_from_spec(pf, spec.get("outer"), default_all=True)
+        inner = _parse_cellset(pf.domain, spec.get("inner"), default_all=False)
+        outer = _parse_cellset(pf.domain, spec.get("outer"), default_all=True)
         region = None if len(pf.region.cells) == pf.domain.cell_count else pf.region
         return solve_obstacle(inner, outer, pf.pair, region)
     if kind == "dirichlet":
-        a0 = _cellset_from_spec(pf, spec.get("a0"), default_all=False)
+        a0 = _parse_cellset(pf.domain, spec.get("a0"), default_all=False)
         return solve_dirichlet(a0, pf.region, pf.pair)
     if kind == "volume":
         if "v" not in spec:

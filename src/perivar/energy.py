@@ -3,16 +3,18 @@
 ``assemble`` turns a measure pair and an evaluation mode (full space,
 Dirichlet with frozen exterior data, or relative-to-a-subdomain) into a
 ``BinaryEnergy``: unary costs per free cell, a 2x2 table per face between
-free cells, a constant, and a frozen assignment.  ``evaluate`` reproduces
-the functional exactly; ``check_submodular`` reports the per-face margins
-``2*p - w_plus - w_minus`` that decide min-cut solvability.
+free cells, a constant, and a frozen assignment, all integers over one
+denominator ``den`` that ``assemble`` fixes up front.  ``evaluate``
+reproduces the functional exactly; ``check_submodular`` reports the
+per-face margins ``2*p - w_plus - w_minus`` that decide min-cut solvability.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .grid import (
     Cell,
@@ -23,8 +25,6 @@ from .grid import (
     _check_same_domain,
 )
 from .measure import SignedPair
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -58,24 +58,24 @@ class MeasureSupportError(ValueError):
     """Measure support violates the Dirichlet support precondition."""
 
 
-@dataclass(frozen=True)
-class FaceTerm:
+class FaceTerm(NamedTuple):
     """2x2 table over the states of the two free cells of one face.
 
     ``table[i][j]`` is the cost with the lower cell at state i and the
     upper cell at state j.  (w_plus, w_minus, p) record the measure and
-    perimeter weights the table was built from.
+    perimeter weights the table was built from.  Table entries and weights
+    are integers over the energy's ``den``.
     """
 
     lower: Cell
     upper: Cell
     table: Tuple  # ((e00, e01), (e10, e11))
-    w_plus: Fraction
-    w_minus: Fraction
-    p: Fraction
+    w_plus: int
+    w_minus: int
+    p: int
 
     @property
-    def margin(self) -> Fraction:
+    def margin(self) -> int:
         """Submodularity margin e01 + e10 - e00 - e11 = 2p - w_plus - w_minus."""
         (e00, e01), (e10, e11) = self.table
         return e01 + e10 - e00 - e11
@@ -101,12 +101,13 @@ class SubmodularityReport:
 
 @dataclass(frozen=True, eq=False)
 class BinaryEnergy:
-    """Unary + pairwise energy equal to the functional, with frozen cells."""
+    """Integer unary + pairwise energy equal to den * the functional, with frozen cells."""
 
     domain: GridDomain
     free_cells: tuple
     frozen: Mapping  # Cell -> bool, for every non-free cell
-    constant: Fraction
+    den: int
+    constant: int
     unary: Mapping  # Cell -> (cost at 0, cost at 1)
     face_terms: Mapping  # Face -> FaceTerm
 
@@ -117,15 +118,19 @@ class BinaryEnergy:
         return CellSet(self.domain, frozenset(free_members) | self.frozen_ones())
 
 
+def _scaled(w: Fraction, den: int) -> int:
+    """w * den for a den that w's denominator divides."""
+    return w.numerator * (den // w.denominator)
+
+
 class _Builder:
     def __init__(self, domain: GridDomain, free: frozenset, frozen: dict):
         self.domain = domain
         self.free = free
         self.frozen = frozen
-        self.constant = ZERO
-        self.unary = {c: [ZERO, ZERO] for c in free}
-        self.tables = {}  # Face -> [[e00, e01], [e10, e11]]
-        self.face_weights = {}  # Face -> [w_plus, w_minus, p]
+        self.constant = 0
+        self.unary = {c: [0, 0] for c in free}
+        self.tables = {}  # Face -> [e00, e01, e10, e11, w_plus, w_minus, p, lower, upper]
 
     def state(self, cell: Optional[Cell]):
         """None for a free cell; 0/1 for frozen or exterior."""
@@ -135,16 +140,12 @@ class _Builder:
             return None
         return 1 if self.frozen[cell] else 0
 
-    def _table(self, face: Face):
-        if face not in self.tables:
-            self.tables[face] = [[ZERO, ZERO], [ZERO, ZERO]]
-            self.face_weights[face] = [ZERO, ZERO, ZERO]
-        return self.tables[face]
+    def add_face_cost(self, face: Face, costs: tuple, weight: int, kind: int):
+        """Add costs = (c00, c01, c10, c11) over the face's two sides, folding fixed sides.
 
-    def add_face_cost(self, face: Face, cost_fn, weight: Fraction, kind: int):
-        """Add cost_fn(x_lo, x_hi) over the face's two sides, folding fixed sides.
-
-        kind: 0 = w_plus, 1 = w_minus, 2 = perimeter weight (for reporting).
+        ``c_ij`` is the cost with the lower side at state i and the upper
+        side at state j.  kind: 4 = w_plus, 5 = w_minus, 6 = perimeter
+        weight (for reporting).
         """
         if not weight:
             return
@@ -153,46 +154,39 @@ class _Builder:
         s_lo = self.state(lo)
         s_hi = self.state(hi)
         if s_lo is None and s_hi is None:
-            t = self._table(face)
-            for i in (0, 1):
-                for j in (0, 1):
-                    t[i][j] += cost_fn(i, j)
-            self.face_weights[face][kind] += weight
+            t = self.tables.get(face)
+            if t is None:
+                t = self.tables[face] = [0, 0, 0, 0, 0, 0, 0, lo, hi]
+            for k, c in enumerate(costs):
+                t[k] += c
+            t[kind] += weight
         elif s_lo is None:
             for i in (0, 1):
-                self.unary[lo][i] += cost_fn(i, s_hi)
+                self.unary[lo][i] += costs[2 * i + s_hi]
         elif s_hi is None:
             for j in (0, 1):
-                self.unary[hi][j] += cost_fn(s_lo, j)
+                self.unary[hi][j] += costs[2 * s_lo + j]
         else:
-            self.constant += cost_fn(s_lo, s_hi)
+            self.constant += costs[2 * s_lo + s_hi]
 
-    def add_cell_cost(self, cell: Cell, weight: Fraction):
+    def add_cell_cost(self, cell: Cell, weight: int):
         """weight * [cell in A]."""
-        if not weight:
-            return
         s = self.state(cell)
         if s is None:
             self.unary[cell][1] += weight
         elif s:
             self.constant += weight
 
-    def build(self) -> BinaryEnergy:
-        terms = {}
-        for face, t in self.tables.items():
-            w_plus, w_minus, p = self.face_weights[face]
-            terms[face] = FaceTerm(
-                lower=self.domain.lower_cell(face),
-                upper=self.domain.upper_cell(face),
-                table=((t[0][0], t[0][1]), (t[1][0], t[1][1])),
-                w_plus=w_plus,
-                w_minus=w_minus,
-                p=p,
-            )
+    def build(self, den: int) -> BinaryEnergy:
+        terms = {
+            face: FaceTerm(lo, hi, ((e00, e01), (e10, e11)), w_plus, w_minus, p)
+            for face, (e00, e01, e10, e11, w_plus, w_minus, p, lo, hi) in self.tables.items()
+        }
         return BinaryEnergy(
             domain=self.domain,
             free_cells=tuple(sorted(self.free)),
             frozen=dict(self.frozen),
+            den=den,
             constant=self.constant,
             unary={c: (e[0], e[1]) for c, e in self.unary.items()},
             face_terms=terms,
@@ -200,24 +194,26 @@ class _Builder:
 
 
 def _mode_pieces(domain: GridDomain, mode: Mode):
-    """Returns (free cells, frozen assignment, perimeter face set)."""
+    """Returns (free cells, frozen assignment, perimeter faces in domain order)."""
     all_cells = frozenset(domain.cells())
     if isinstance(mode, FullSpace):
-        return all_cells, {}, domain.full_region().closure_faces()
+        return all_cells, {}, domain.faces()
     if isinstance(mode, Dirichlet):
         _check_same_domain(mode.a0, mode.omega)
         if mode.a0.domain != domain:
             raise ValueError("Dirichlet data bound to a different domain")
         free = frozenset(mode.omega.cells)
         frozen = {c: (c in mode.a0.cells) for c in all_cells - free}
-        return free, frozen, mode.omega.closure_faces()
-    if isinstance(mode, Relative):
+        faces = mode.omega.closure_faces()
+    elif isinstance(mode, Relative):
         if mode.omega.domain != domain:
             raise ValueError("Relative region bound to a different domain")
         free = frozenset(mode.omega.cells)
         frozen = {c: False for c in all_cells - free}
-        return free, frozen, mode.omega.interior_faces()
-    raise TypeError(f"unknown mode {mode!r}")
+        faces = mode.omega.interior_faces()
+    else:
+        raise TypeError(f"unknown mode {mode!r}")
+    return free, frozen, [f for f in domain.faces() if f in faces]
 
 
 def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> BinaryEnergy:
@@ -225,6 +221,8 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
 
     ``perimeter_weight`` scales the cut term (default 1 per face); it exists
     so scaled instances stay representable without touching the grid model.
+    The energy's ``den`` is the lcm of the denominators of the perimeter
+    weight and of every measure weight.
     """
     domain = pair.domain
     p = Fraction(perimeter_weight)
@@ -244,26 +242,32 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
                     f"faces={sorted(bad_faces)}"
                 )
 
+    den = p.denominator
+    for mu in (pair.plus, pair.minus):
+        for weights in (mu.cell_weights, mu.face_weights):
+            den = math.lcm(den, *(w.denominator for w in weights.values()))
     b = _Builder(domain, free, frozen)
 
-    for face in sorted(perim_faces):
-        b.add_face_cost(face, lambda i, j: p if i != j else ZERO, p, kind=2)
+    P = _scaled(p, den)
+    cut = (0, P, P, 0)
+    for face in perim_faces:
+        b.add_face_cost(face, cut, P, kind=6)
 
     for cell in sorted(pair.plus.cell_weights):
-        b.add_cell_cost(cell, pair.plus.cell_weights[cell])
+        b.add_cell_cost(cell, _scaled(pair.plus.cell_weights[cell], den))
     for face in sorted(pair.plus.face_weights):
-        w = pair.plus.face_weights[face]
         if domain.is_boundary_face(face):
             continue  # boundary faces are never in any A^1
-        b.add_face_cost(face, lambda i, j, w=w: w if (i and j) else ZERO, w, kind=0)
+        w = _scaled(pair.plus.face_weights[face], den)
+        b.add_face_cost(face, (0, 0, 0, w), w, kind=4)
 
     for cell in sorted(pair.minus.cell_weights):
-        b.add_cell_cost(cell, -pair.minus.cell_weights[cell])
+        b.add_cell_cost(cell, -_scaled(pair.minus.cell_weights[cell], den))
     for face in sorted(pair.minus.face_weights):
-        w = pair.minus.face_weights[face]
-        b.add_face_cost(face, lambda i, j, w=w: -w if (i or j) else ZERO, w, kind=1)
+        w = _scaled(pair.minus.face_weights[face], den)
+        b.add_face_cost(face, (0, -w, -w, -w), w, kind=5)
 
-    return b.build()
+    return b.build(den)
 
 
 def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
@@ -284,19 +288,20 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
         if s_lo is None and s_hi is None:
             terms[face] = term
         elif s_lo is not None and s_hi is not None:
-            constant += term.table[int(s_lo)][int(s_hi)]
+            constant += term.table[s_lo][s_hi]
         elif s_lo is not None:
             for j in (0, 1):
-                unary[term.upper][j] += term.table[int(s_lo)][j]
+                unary[term.upper][j] += term.table[s_lo][j]
         else:
             for i in (0, 1):
-                unary[term.lower][i] += term.table[i][int(s_hi)]
-    for c in fixed:
-        constant += energy.unary[c][1 if fixed[c] else 0]
+                unary[term.lower][i] += term.table[i][s_hi]
+    for c, v in fixed.items():
+        constant += energy.unary[c][v]
     return BinaryEnergy(
         domain=energy.domain,
         free_cells=tuple(sorted(free)),
         frozen=frozen,
+        den=energy.den,
         constant=constant,
         unary={c: (e[0], e[1]) for c, e in unary.items()},
         face_terms=terms,
@@ -304,18 +309,40 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
 
 
 def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
-    """Add the modular term lam * |A| (counting frozen-1 cells in the constant)."""
+    """Add the modular term lam * |A| (counting frozen-1 cells in the constant).
+
+    The result is over lcm(den, lam's denominator), rescaled if that is new.
+    """
     lam = Fraction(lam)
-    unary = {c: (e0, e1 + lam) for c, (e0, e1) in energy.unary.items()}
-    constant = energy.constant + lam * len(energy.frozen_ones())
+    den = math.lcm(energy.den, lam.denominator)
+    k = den // energy.den
+    step = _scaled(lam, den)
+    terms = energy.face_terms
+    if k > 1:
+        terms = {
+            face: FaceTerm(t.lower, t.upper, tuple(tuple(k * x for x in row) for row in t.table),
+                           k * t.w_plus, k * t.w_minus, k * t.p)
+            for face, t in terms.items()
+        }
     return BinaryEnergy(
         domain=energy.domain,
         free_cells=energy.free_cells,
         frozen=energy.frozen,
-        constant=constant,
-        unary=unary,
-        face_terms=energy.face_terms,
+        den=den,
+        constant=k * energy.constant + step * len(energy.frozen_ones()),
+        unary={c: (k * e0, k * e1 + step) for c, (e0, e1) in energy.unary.items()},
+        face_terms=terms,
     )
+
+
+def _total(energy: BinaryEnergy, cells) -> int:
+    """den * the energy of the set with these cells, frozen cells unchecked."""
+    value = energy.constant
+    for c, (e0, e1) in energy.unary.items():
+        value += e1 if c in cells else e0
+    for term in energy.face_terms.values():
+        value += term.table[term.lower in cells][term.upper in cells]
+    return value
 
 
 def evaluate(energy: BinaryEnergy, A: CellSet) -> Fraction:
@@ -326,31 +353,25 @@ def evaluate(energy: BinaryEnergy, A: CellSet) -> Fraction:
             raise FrozenCellConflictError(
                 f"cell {c} must be {'in' if v else 'out of'} the set"
             )
-    total = energy.constant
-    for c, (e0, e1) in energy.unary.items():
-        total += e1 if c in A.cells else e0
-    for term in energy.face_terms.values():
-        i = 1 if term.lower in A.cells else 0
-        j = 1 if term.upper in A.cells else 0
-        total += term.table[i][j]
-    return total
+    return Fraction(_total(energy, A.cells), energy.den)
 
 
 def check_submodular(energy: BinaryEnergy) -> SubmodularityReport:
     """Per-face test e01 + e10 >= e00 + e11 (equivalently w+ + w- <= 2p)."""
+    bad = [face for face, term in energy.face_terms.items() if term.margin < 0]
+    den = energy.den
     violations = []
-    for face in sorted(energy.face_terms):
+    for face in sorted(bad):
         term = energy.face_terms[face]
-        if term.margin < 0:
-            violations.append(
-                Violation(
-                    face=face,
-                    w_plus=term.w_plus,
-                    w_minus=term.w_minus,
-                    p=term.p,
-                    margin=term.margin,
-                )
+        violations.append(
+            Violation(
+                face=face,
+                w_plus=Fraction(term.w_plus, den),
+                w_minus=Fraction(term.w_minus, den),
+                p=Fraction(term.p, den),
+                margin=Fraction(term.margin, den),
             )
+        )
     return SubmodularityReport(ok=not violations, violations=tuple(violations))
 
 
@@ -367,6 +388,6 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
     _, _, perim_faces = _mode_pieces(domain, mode)
     perim = sum(
         (Fraction(perimeter_weight) for f in perim_faces if face_crosses(domain, f, A)),
-        ZERO,
+        Fraction(0),
     )
     return perim + mass_on_interior(pair.plus, A) - mass_on_closure(pair.minus, A)

@@ -279,8 +279,6 @@ class _ExcessNetwork:
         if pen > 0:
             for c in sorted(admissible):
                 net.add_arc(self.cell_node[c], net.sink, pen)
-        elif pen < 0:
-            raise ValueError("cell penalty must be nonnegative")
 
         self.supply = supply
 
@@ -387,12 +385,14 @@ def strong_excess(
     if not admissible:
         raise ValueError("variant admits no test sets on this grid")
 
-    model = _ExcessNetwork(mu, C, variant, cell_penalty)
-    use_cut = model.reducible and method != "exhaustive"
+    if cell_penalty < 0:
+        raise ValueError("cell penalty must be nonnegative")
+
+    model = None if method == "exhaustive" else _ExcessNetwork(mu, C, variant, cell_penalty)
     if method == "min-cut" and not model.reducible:
         raise ValueError(f"instance is not min-cut reducible: {model.blockers}")
 
-    if not use_cut:
+    if model is None or not model.reducible:
         cap = resolve_cap(exhaustive_cap)
         if len(admissible) > cap:
             raise ExhaustiveCapacityExceeded(len(admissible), cap)

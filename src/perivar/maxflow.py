@@ -8,14 +8,15 @@ canonical minimum cut is the set of nodes reachable from the source in
 the residual graph (the unique inclusion-minimal one), which makes every
 result deterministic and reproducible.
 
-``minimize`` reduces a submodular ``BinaryEnergy`` to a min cut after
-clearing denominators; ``parametric_sweep`` traces the breakpoints of
-``min_A E(A) + lam * |A|`` and the nested chain of minimizers.
+``minimize`` reduces a submodular ``BinaryEnergy`` to a min cut over the
+energy's integers (all over its one denominator), reads the value off the
+cut and cross-checks it against an integer evaluation of the minimizer;
+``parametric_sweep`` traces the breakpoints of ``min_A E(A) + lam * |A|``
+and the nested chain of minimizers.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +25,9 @@ from typing import List, Optional, Tuple
 from .energy import (
     BinaryEnergy,
     SubmodularityReport,
+    _total,
     add_volume_term,
     check_submodular,
-    evaluate,
 )
 from .grid import CellSet
 
@@ -214,65 +215,53 @@ def cut_capacity(net: FlowNetwork, source_side: frozenset, caps: list) -> int:
     return total
 
 
-def _common_denominator(energy: BinaryEnergy) -> int:
-    den = 1
-    for e0, e1 in energy.unary.values():
-        den = math.lcm(den, e0.denominator, e1.denominator)
-    for term in energy.face_terms.values():
-        for row in term.table:
-            for v in row:
-                den = math.lcm(den, v.denominator)
-    return den
-
-
 def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
     """Global minimizer of a submodular energy via graph cut.
 
     Returns the canonical inclusion-minimal minimizer (as a full CellSet,
-    frozen cells included) together with its exact value.
+    frozen cells included) together with its exact value.  The network is
+    built from the energy's integers; the value is read off the cut and
+    checked against an integer evaluation of the returned set.
     """
     report = check_submodular(energy)
     if not report.ok:
         raise NonSubmodularError(report)
 
     free = energy.free_cells
-    if not free:
-        sol = energy.full_set(frozenset())
-        return sol, evaluate(energy, sol)
-
-    den = _common_denominator(energy)
-    node_of = {}
     net = FlowNetwork()
-    for c in free:
-        node_of[c] = net.add_node()
+    node_of = {c: net.add_node() for c in free}
 
-    # net unary gain of labeling 1, accumulated from unaries and table
-    # decompositions: theta = e00 + (e10-e00) x_lo + (e11-e10) x_hi
-    #                        + (e01+e10-e00-e11) (1-x_lo) x_hi
-    gain = {c: (energy.unary[c][1] - energy.unary[c][0]) * den for c in free}
+    # theta = e00 + (e10-e00) x_lo + (e11-e10) x_hi + (e01+e10-e00-e11) (1-x_lo) x_hi:
+    # gain is the net cost of labeling a cell 1; base collects the terms free
+    # of labels, then each negative gain, which its source arc pays back
+    base = energy.constant + sum(e0 for e0, _ in energy.unary.values())
+    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
     pair_arcs = []
-    for face in sorted(energy.face_terms):
-        term = energy.face_terms[face]
+    for term in energy.face_terms.values():
         (e00, e01), (e10, e11) = term.table
-        gain[term.lower] += (e10 - e00) * den
-        gain[term.upper] += (e11 - e10) * den
-        coeff = (e01 + e10 - e00 - e11) * den
+        base += e00
+        gain[term.lower] += e10 - e00
+        gain[term.upper] += e11 - e10
+        coeff = e01 + e10 - e00 - e11
         if coeff:
-            pair_arcs.append((node_of[term.upper], node_of[term.lower], int(coeff)))
+            pair_arcs.append((node_of[term.upper], node_of[term.lower], coeff))
 
     for c in free:
-        g = int(gain[c])
+        g = gain[c]
         if g > 0:
             net.add_arc(node_of[c], net.sink, g)
         elif g < 0:
             net.add_arc(net.source, node_of[c], -g)
+            base += g
     for u, v, cap in pair_arcs:
         net.add_arc(u, v, cap)
 
-    result = max_flow(net)
-    members = frozenset(c for c in free if node_of[c] in result.source_side)
-    sol = energy.full_set(members)
-    return sol, evaluate(energy, sol)
+    value = base + augment(net)
+    reach = _residual_reachable(net)
+    sol = energy.full_set(frozenset(c for c in free if node_of[c] in reach))
+    if _total(energy, sol.cells) != value:
+        raise AssertionError("cut value and energy of the minimizer disagree")
+    return sol, Fraction(value, energy.den)
 
 
 @dataclass(frozen=True)
@@ -298,8 +287,8 @@ def parametric_sweep(energy: BinaryEnergy, lam_lo, lam_hi) -> List[SweepPiece]:
         raise ValueError("empty lambda range")
 
     def solve(lam: Fraction):
-        sol, _ = minimize(add_volume_term(energy, lam))
-        return sol, evaluate(energy, sol)
+        sol, val = minimize(add_volume_term(energy, lam))
+        return sol, val - lam * sol.volume
 
     lo_sol, lo_val = solve(lam_lo)
     hi_sol, hi_val = solve(lam_hi)

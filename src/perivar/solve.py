@@ -23,12 +23,10 @@ from .energy import (
     freeze,
 )
 from .grid import CellSet, Region, _check_same_domain
-from .maxflow import _common_denominator, minimize, parametric_sweep
+from .maxflow import minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
 from .oracle import scan_functional_minimum
 from .ic import resolve_cap
-
-ZERO = Fraction(0)
 
 
 class EmptyClassError(ValueError):
@@ -102,22 +100,17 @@ def _greedy_resize(energy: BinaryEnergy, start: CellSet, target: int) -> CellSet
     """Move |A| to the target one best single-cell flip at a time.
 
     Each step takes the first cell, in sorted order, whose flip gives the
-    strictly lowest energy.  Flips are scored by their integer delta over
-    the common denominator: the cell's unary gain plus, per face term, the
-    cost change on that cell's side given whether the neighbour is in.
+    strictly lowest energy.  Flips are scored by their integer delta: the
+    cell's unary gain plus, per face term, the cost change on that cell's
+    side given whether the neighbour is in.
     """
-    den = _common_denominator(energy)
-    gain = {c: int((e1 - e0) * den) for c, (e0, e1) in energy.unary.items()}
+    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
     # cell -> [(neighbour, delta of entering while it is out, ... while in)]
     links = {c: [] for c in energy.free_cells}
     for term in energy.face_terms.values():
         (e00, e01), (e10, e11) = term.table
-        links[term.lower].append(
-            (term.upper, int((e10 - e00) * den), int((e11 - e01) * den))
-        )
-        links[term.upper].append(
-            (term.lower, int((e01 - e00) * den), int((e11 - e10) * den))
-        )
+        links[term.lower].append((term.upper, e10 - e00, e11 - e01))
+        links[term.upper].append((term.lower, e01 - e00, e11 - e10))
     current = set(start.cells)
     free = set(energy.free_cells)
     while len(current) != target:
@@ -182,11 +175,12 @@ def solve_volume(
         return result
 
     # Lagrangian sweep: lam large enough that the extremes are empty/full
-    swing = Fraction(1)
+    swing = energy.den
     for e0, e1 in energy.unary.values():
         swing += abs(e1 - e0)
     for term in energy.face_terms.values():
         swing += 2 * max(abs(x) for row in term.table for x in row)
+    swing = Fraction(swing, energy.den)
     pieces = parametric_sweep(energy, -swing, swing)
     if pieces[0].volume < len(free_cells) or pieces[-1].volume > 0:
         raise AssertionError("sweep range did not reach the extreme volumes")

@@ -86,21 +86,21 @@ def rand_measure(rng, domain, faces=None, n_faces=3, n_cells=1, hi=2):
     return MeasureData(domain, cell_weights=cw, face_weights=fw)
 
 
-def rand_submodular_pair(rng, domain, hi=2):
+def rand_submodular_pair(rng, domain, hi=2, dens=(1, 2, 3, 4)):
     """Signed pair whose assembled energy is submodular at unit perimeter.
 
     Each face carries at most one of the two signs, with weight <= 2;
-    cell masses are unconstrained.
+    cell masses are unconstrained.  Weights have denominators in ``dens``.
     """
     plus_f, minus_f = {}, {}
     for f in rng.sample(list(domain.faces()), k=min(4, domain.face_count)):
-        w = rand_weight(rng, 0, hi)
+        w = rand_weight(rng, 0, hi, dens)
         if not w:
             continue
         (plus_f if rng.random() < 0.5 else minus_f)[f] = w
     plus_c, minus_c = {}, {}
     for c in rng.sample(list(domain.cells()), k=min(2, domain.cell_count)):
-        w = rand_weight(rng, 0, hi)
+        w = rand_weight(rng, 0, hi, dens)
         if not w:
             continue
         (plus_c if rng.random() < 0.5 else minus_c)[c] = w

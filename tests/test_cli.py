@@ -168,6 +168,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_obstacle_cell_outside_grid_exits_2(tmp_path, capsys):
+    doc = line_problem(extra={"inner": {"cells": [[1, 1], [9, 9]]}})
+    problem = write_problem(tmp_path, doc)
+    code = main(["minimize", "--problem", problem, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: cell (9, 9) outside grid (6, 6)\n"
+
+
 def test_non_submodular_exit_3(tmp_path, capsys):
     doc = {
         "grid": {"dims": [3, 3]},

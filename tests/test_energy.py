@@ -140,6 +140,27 @@ def test_add_volume_term():
         assert evaluate(shifted, A) == evaluate(energy, A) + lam * A.volume
 
 
+def test_freeze_then_add_volume_term_across_denominators():
+    d = GridDomain((2, 3))
+    f = Face(0, 1, (1,))
+    pair = SignedPair.of(
+        d, minus=MeasureData(d, cell_weights={(0, 1): F(4, 3)}, face_weights={f: F(2, 3)})
+    )
+    mode = FullSpace()
+    energy = assemble(pair, mode)
+    assert energy.den == 3
+    pins = {(0, 0): True, (1, 2): False}
+    lam = F(2, 7)
+    shifted = add_volume_term(freeze(energy, pins), lam)
+    assert shifted.den == 21
+    for A in all_subsets(d, d.cells()):
+        if all((c in A.cells) == v for c, v in pins.items()):
+            assert evaluate(shifted, A) == direct_value(pair, mode, A) + lam * A.volume
+        else:
+            with pytest.raises(FrozenCellConflictError):
+                evaluate(shifted, A)
+
+
 def test_submodularity_report():
     d = GridDomain((3, 3))
     f = Face(0, 1, (1,))
@@ -154,3 +175,6 @@ def test_submodularity_report():
     assert not report.ok
     assert [v.face for v in report.violations] == [f]
     assert report.violations[0].margin == -1
+    v = report.violations[0]
+    assert (v.w_plus, v.w_minus, v.p, v.margin) == (F(3, 2), F(3, 2), F(1), F(-1))
+    assert all(type(x) is Fraction for x in (v.w_plus, v.w_minus, v.p, v.margin))

@@ -27,6 +27,7 @@ from perivar import (
     strong_excess,
     sum_measures,
 )
+from perivar import ic
 from perivar.ic import resolve_cap
 from perivar.oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded
 
@@ -193,6 +194,28 @@ def test_non_reducible_instances_fall_back_or_raise():
     fw, cw = as_raw(mu_small)
     best, _ = naive.max_excess(small.dims, fw, cw, F(1))
     assert res.value == best
+
+
+def test_exhaustive_method_builds_no_network(monkeypatch):
+    d = GridDomain((14,))
+    mu = hyperplane_measure(d, 0, 7, 2)
+    builds = []
+    init = ic._ExcessNetwork.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ic._ExcessNetwork, "__init__", counting_init)
+    res = strong_excess(mu, 1, method="exhaustive")
+    # in 1D the best set is an interval over the line face: 2 - P = 0
+    assert res.method == "exhaustive" and res.value == 0
+    assert len(builds) == 0
+    # the min-cut route still builds it, and names what blocks it
+    heavy = hyperplane_measure(GridDomain((3, 3)), 1, 1, F(9, 4))
+    with pytest.raises(ValueError, match="not min-cut reducible.*weight exceeds 2C"):
+        strong_excess(heavy, 1, method="min-cut")
+    assert len(builds) == 1
 
 
 def test_profile_above_cap_rejects_non_reducible():

@@ -7,19 +7,27 @@ from conftest import as_raw, rand_submodular_pair
 import naive
 from perivar import (
     CellSet,
+    Dirichlet,
     Face,
     FlowNetwork,
     FullSpace,
     GridDomain,
     MeasureData,
     NonSubmodularError,
+    Region,
+    Relative,
     SignedPair,
     add_volume_term,
     assemble,
+    freeze,
+    hyperplane_measure,
     max_flow,
     minimize,
     parametric_sweep,
+    restrict,
+    scale,
 )
+from perivar import maxflow
 from perivar.maxflow import _residual_reachable, augment, cut_capacity
 
 F = Fraction
@@ -137,10 +145,13 @@ def test_augment_with_sink_flags_matches_networkx(rng):
         assert total == nx_value(net, caps, source, flagged)
 
 
+DENS = (1, 2, 3, 5, 7)
+
+
 def test_minimize_matches_exhaustive(rng):
     for _ in range(40):
         d = GridDomain(rng.choice([(3, 3), (4, 2), (2, 2, 2), (6,)]))
-        pair = rand_submodular_pair(rng, d)
+        pair = rand_submodular_pair(rng, d, dens=DENS)
         energy = assemble(pair, FullSpace())
         sol, val = minimize(energy)
         pf, pc = as_raw(pair.plus)
@@ -156,7 +167,7 @@ def test_minimize_returns_canonical_minimal_argmin(rng):
     # the returned minimizer is the intersection of all optimal sets
     for _ in range(25):
         d = GridDomain(rng.choice([(3, 3), (4, 2)]))
-        pair = rand_submodular_pair(rng, d)
+        pair = rand_submodular_pair(rng, d, dens=DENS)
         energy = assemble(pair, FullSpace())
         sol, val = minimize(energy)
         pf, pc = as_raw(pair.plus)
@@ -165,6 +176,51 @@ def test_minimize_returns_canonical_minimal_argmin(rng):
             d.dims, d.cells(), frozenset(), pf, pc, mf, mc
         )
         assert sol.cells == frozenset.intersection(*argmins)
+
+
+@pytest.mark.parametrize("weight", [F(1, 2), F(3, 4), F(5, 3)])
+def test_minimize_pinned_modes_across_denominators(rng, weight):
+    # perimeter weight and measure weights over several denominators, in
+    # every mode, with obstacle pins folded in by freeze
+    d = GridDomain((3, 3))
+    omega = Region.of(d, CellSet.box(d, (0, 0), (1, 2)).cells)
+    a0 = CellSet.of(d, [(2, 0), (2, 1)])
+    modes = [
+        (FullSpace(), None),
+        (Relative(omega=omega), omega.interior_faces()),
+        (Dirichlet(a0=a0, omega=omega), omega.closure_faces()),
+    ]
+    for mode, perim in modes:
+        for _ in range(8):
+            pair = rand_submodular_pair(rng, d, dens=DENS)
+            # faces carry <= 2 * weight, so the energy stays submodular
+            plus, minus = scale(pair.plus, weight), scale(pair.minus, weight)
+            if isinstance(mode, Dirichlet):
+                plus, minus = restrict(plus, omega.cell_set()), restrict(minus, omega.cell_set())
+            pair = SignedPair(plus, minus)
+            energy = assemble(pair, mode, weight)
+            pins = {c: rng.random() < 0.5 for c in rng.sample(energy.free_cells, 2)}
+            sol, val = minimize(freeze(energy, pins))
+            pf, pc = as_raw(pair.plus)
+            mf, mc = as_raw(pair.minus)
+            best, argmins = naive.minimize_over(
+                d.dims,
+                [c for c in energy.free_cells if c not in pins],
+                energy.frozen_ones() | {c for c, v in pins.items() if v},
+                pf, pc, mf, mc,
+                None if perim is None else [(f.axis, f.slot, f.at) for f in perim],
+                weight,
+            )
+            assert val == best
+            assert sol.cells == frozenset.intersection(*argmins)
+
+
+def test_minimize_self_check_catches_a_wrong_cut_value(monkeypatch):
+    d = GridDomain((3, 3))
+    energy = assemble(SignedPair.of(d, minus=hyperplane_measure(d, 1, 1, F(5, 3))), FullSpace())
+    monkeypatch.setattr(maxflow, "augment", lambda net: augment(net) + 1)
+    with pytest.raises(AssertionError):
+        minimize(energy)
 
 
 def test_minimize_rejects_non_submodular():
