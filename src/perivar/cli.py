@@ -61,23 +61,8 @@ class CliInputError(Exception):
 
 
 def _variant_from_options(pf: ProblemFile) -> ICVariant:
-    spec = pf.options.get("variant")
-    if spec is None:
-        return ICVariant.plain()
-    kind = spec["kind"]
-    if kind == "plain":
-        return ICVariant.plain()
-    if kind == "interior-rep":
-        return ICVariant.interior_rep()
-    if kind == "relative":
-        return ICVariant.relative(pf.region)
-    if kind == "relative-to-boundary":
-        return ICVariant.relative_to_boundary(pf.region)
-    if kind == "avoid-ball":
-        if "radius" not in spec:
-            raise CliInputError("avoid-ball variant requires a radius")
-        return ICVariant.avoid_ball(spec["radius"])
-    raise CliInputError(f"unknown variant {kind!r}")
+    spec = pf.options.get("variant", {"kind": "plain"})
+    return ICVariant(spec["kind"], omega=pf.region, radius=spec.get("radius"))
 
 
 def _resolve_c(pf: ProblemFile, flag: Optional[str]) -> Fraction:

@@ -7,6 +7,13 @@ free cells, a constant, and a frozen assignment, all integers over one
 denominator ``den`` that ``assemble`` fixes up front.  ``evaluate``
 reproduces the functional exactly; ``check_submodular`` reports the
 per-face margins ``2*p - w_plus - w_minus`` that decide min-cut solvability.
+
+``assemble_excess`` compiles the isoperimetric excess
+``mass(rep A) - sum of charges on crossed faces - penalty |A|`` into the
+same form, negated, so the min cut, the Gray-code scan and single-cell
+flip scoring (``flip_links``) all read one energy.  Its only
+non-submodular faces are two-sided faces whose closure mass exceeds
+twice their charge.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .grid import (
     _check_same_domain,
 )
 from .measure import SignedPair
+
+# Representative of a mass face in an excess: CLOSURE counts it when a
+# test set holds at least one incident cell, INTERIOR when it holds both.
+CLOSURE = 0
+INTERIOR = 1
 
 
 @dataclass(frozen=True)
@@ -268,6 +280,70 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
         b.add_face_cost(face, (0, -w, -w, -w), w, kind=5)
 
     return b.build(den)
+
+
+def assemble_excess(
+    domain: GridDomain,
+    admissible,
+    charged_faces: Mapping,
+    mass_faces: Mapping,
+    cell_masses: Mapping,
+    cell_penalty=Fraction(0),
+) -> BinaryEnergy:
+    """The energy -(mass(rep A) - sum of charges on crossed faces - penalty |A|).
+
+    Test sets A range over subsets of ``admissible``; every other cell is
+    frozen out, and the exterior counts as out.  ``charged_faces`` maps a
+    face to its perimeter charge; ``mass_faces`` maps a face to (weight,
+    CLOSURE or INTERIOR); ``cell_masses`` count for admissible cells only.
+    The energy's ``den`` is the lcm of the denominators of every charge,
+    weight and the penalty.  In the face terms ``p`` is the charge,
+    ``w_minus`` the closure mass and ``w_plus`` minus the interior mass,
+    so the margin 2p - w_plus - w_minus is negative exactly on a
+    two-sided face whose closure mass exceeds twice its charge.
+    """
+    free = frozenset(admissible)
+    frozen = {c: False for c in domain.cells() if c not in free}
+    weights = (
+        cell_penalty,
+        *charged_faces.values(),
+        *(w for w, _rep in mass_faces.values()),
+        *cell_masses.values(),
+    )
+    den = math.lcm(*(Fraction(w).denominator for w in weights))
+    b = _Builder(domain, free, frozen)
+    for face, charge in charged_faces.items():
+        P = _scaled(Fraction(charge), den)
+        b.add_face_cost(face, (0, P, P, 0), P, kind=6)
+    for face, (w, rep) in mass_faces.items():
+        W = _scaled(Fraction(w), den)
+        if rep == CLOSURE:
+            b.add_face_cost(face, (0, -W, -W, -W), W, kind=5)
+        else:
+            b.add_face_cost(face, (0, 0, 0, -W), -W, kind=4)
+    for cell, w in cell_masses.items():
+        b.add_cell_cost(cell, -_scaled(Fraction(w), den))
+    pen = _scaled(Fraction(cell_penalty), den)
+    for cell in free:
+        b.add_cell_cost(cell, pen)
+    return b.build(den)
+
+
+def flip_links(energy: BinaryEnergy):
+    """Per free cell, the integer change of den * E when it enters a set.
+
+    Returns (gain, links): entering cell c changes the energy by gain[c]
+    plus, for each (neighbour, if_out, if_in) in links[c], if_in when the
+    neighbour is in the set and if_out when it is out.  Leaving negates
+    the same sum.
+    """
+    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
+    links = {c: [] for c in energy.free_cells}
+    for term in energy.face_terms.values():
+        (e00, e01), (e10, e11) = term.table
+        links[term.lower].append((term.upper, e10 - e00, e11 - e01))
+        links[term.upper].append((term.lower, e01 - e00, e11 - e10))
+    return gain, links
 
 
 def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:

@@ -145,9 +145,8 @@ class GridDomain:
         return self._face_side(face, face.slot)
 
     def _face_side(self, face: Face, coord: int) -> Cell:
-        cell = list(face.at)
-        cell.insert(face.axis, coord)
-        return tuple(cell)
+        at = face.at
+        return at[:face.axis] + (coord,) + at[face.axis:]
 
     def cell_faces(self, cell: Cell) -> tuple:
         """The 2d faces bounding one cell."""
@@ -161,6 +160,7 @@ class GridDomain:
     def is_boundary_face(self, face: Face) -> bool:
         return face.slot == 0 or face.slot == self.dims[face.axis]
 
+    @functools.cache
     def full_region(self) -> "Region":
         return Region(self, frozenset(self.cells()))
 
@@ -291,13 +291,20 @@ class Region:
     def cell_set(self) -> CellSet:
         return CellSet(self.domain, self.cells)
 
-    @functools.cache
-    def closure_faces(self) -> frozenset:
+    # cached on the instance, so a dropped region takes its face sets along
+    @functools.cached_property
+    def _closure_faces(self) -> frozenset:
         return closure_faces(self.cell_set())
 
-    @functools.cache
-    def interior_faces(self) -> frozenset:
+    @functools.cached_property
+    def _interior_faces(self) -> frozenset:
         return interior_faces(self.cell_set())
+
+    def closure_faces(self) -> frozenset:
+        return self._closure_faces
+
+    def interior_faces(self) -> frozenset:
+        return self._interior_faces
 
     def face_set(self, mode: PerimeterMode) -> frozenset:
         if mode is PerimeterMode.CLOSURE:

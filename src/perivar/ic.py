@@ -2,12 +2,14 @@
 
 The central quantity is the excess ``max over nonempty A of
 mu(rep(A)) - C * P(A, variant)``: the strong IC holds iff it is <= 0.
-Two independent routes compute it: subset enumeration (small grids) and a
-min-cut reduction.  The reduction uses one node per mass-carrying face,
-supplied with the face weight from the source and exchanging at most C
-with each incident cell, so that the minimum cut is exactly
-``C * P(A) + (excluded mass)`` and strong duality turns the max-flow into
-a divergence certificate (a sub-C field with the measure as divergence).
+Every route reads the excess as one compiled energy
+(``energy.assemble_excess``): a min cut of it when it is submodular
+(every face with two admissible sides and closure mass charged, with
+weight at most 2C), subset enumeration below the cap otherwise.  Only the divergence certificate keeps a network
+of its own: one node per mass-carrying face, supplied with the face
+weight from the source and exchanging at most C with each incident cell,
+so that strong duality turns its max-flow into a sub-C field with the
+measure as divergence, with the per-face shares decoded from the flows.
 """
 
 from __future__ import annotations
@@ -16,19 +18,29 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .energy import FullSpace, assemble, freeze
-from .grid import Cell, CellSet, Face, GridDomain, Region, _check_same_domain
-from .maxflow import FlowNetwork, _residual_reachable, augment, max_flow, minimize
-from .measure import MeasureData, are_mutually_singular
-from .oracle import (
+from .energy import (
     CLOSURE,
-    DEFAULT_EXHAUSTIVE_CAP,
     INTERIOR,
-    ExhaustiveCapacityExceeded,
-    scan_excess,
+    FullSpace,
+    assemble,
+    assemble_excess,
+    check_submodular,
+    flip_links,
+    freeze,
 )
+from .grid import Cell, CellSet, Face, GridDomain, Region, _check_same_domain
+from .maxflow import (
+    FlowNetwork,
+    _cut_network,
+    _residual_reachable,
+    augment,
+    max_flow,
+    minimize,
+)
+from .measure import MeasureData, are_mutually_singular
+from .oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded, scan_excess
 
 ZERO = Fraction(0)
 
@@ -47,6 +59,10 @@ def resolve_cap(explicit: Optional[int] = None, file_option: Optional[int] = Non
     return DEFAULT_EXHAUSTIVE_CAP
 
 
+_RELATIVE_KINDS = ("relative", "relative-to-boundary")
+_KINDS = ("plain", "interior-rep", "avoid-ball") + _RELATIVE_KINDS
+
+
 @dataclass(frozen=True)
 class ICVariant:
     """Test-set class, representative, and perimeter flavor for an IC check.
@@ -54,12 +70,30 @@ class ICVariant:
     kind is one of 'plain', 'interior-rep', 'relative', 'avoid-ball',
     'relative-to-boundary'.  'relative' confines test sets to the
     subdomain; 'relative-to-boundary' keeps them unrestricted but charges
-    only the relative perimeter.
+    only the relative perimeter.  The two relative kinds need ``omega``,
+    'avoid-ball' needs a nonnegative ``radius``; a field the kind does not
+    read is dropped.
     """
 
     kind: str
     omega: Optional[Region] = None
     radius: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown IC variant kind {self.kind!r}")
+        if self.kind not in _RELATIVE_KINDS:
+            object.__setattr__(self, "omega", None)
+        elif not isinstance(self.omega, Region):
+            raise ValueError(f"{self.kind} variant requires a region")
+        if self.kind != "avoid-ball":
+            object.__setattr__(self, "radius", None)
+        elif self.radius is None:
+            raise ValueError("avoid-ball variant requires a radius")
+        elif int(self.radius) < 0:
+            raise ValueError("avoid-ball radius must be nonnegative")
+        else:
+            object.__setattr__(self, "radius", int(self.radius))
 
     @staticmethod
     def plain() -> "ICVariant":
@@ -75,7 +109,7 @@ class ICVariant:
 
     @staticmethod
     def avoid_ball(radius: int) -> "ICVariant":
-        return ICVariant("avoid-ball", radius=int(radius))
+        return ICVariant("avoid-ball", radius=radius)
 
     @staticmethod
     def relative_to_boundary(omega: Region) -> "ICVariant":
@@ -91,21 +125,24 @@ def _central_box(domain: GridDomain, radius: int) -> frozenset:
     )
 
 
-def _variant_setup(domain: GridDomain, variant: ICVariant):
-    """Returns (admissible cells, charged faces, representative kind)."""
-    all_cells = frozenset(domain.cells())
-    all_faces = frozenset(domain.faces())
-    if variant.kind == "plain":
-        return all_cells, all_faces, CLOSURE
-    if variant.kind == "interior-rep":
-        return all_cells, all_faces, INTERIOR
+def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant) -> dict:
+    """The variant's excess as keyword arguments of ``scan_excess``/``assemble_excess``."""
+    domain = mu.domain
+    admissible = domain.cells()
+    charged = domain.faces()
+    rep = INTERIOR if variant.kind == "interior-rep" else CLOSURE
     if variant.kind == "relative":
-        return frozenset(variant.omega.cells), variant.omega.interior_faces(), CLOSURE
-    if variant.kind == "avoid-ball":
-        return all_cells - _central_box(domain, variant.radius), all_faces, CLOSURE
-    if variant.kind == "relative-to-boundary":
-        return all_cells, variant.omega.interior_faces(), CLOSURE
-    raise ValueError(f"unknown IC variant kind {variant.kind!r}")
+        admissible = variant.omega.cells
+    elif variant.kind == "avoid-ball":
+        admissible = frozenset(admissible) - _central_box(domain, variant.radius)
+    if variant.kind in _RELATIVE_KINDS:
+        charged = variant.omega.interior_faces()
+    return dict(
+        admissible=sorted(admissible),
+        charged_faces=dict.fromkeys(charged, C),
+        mass_faces={f: (w, rep) for f, w in mu.face_weights.items()},
+        cell_masses=dict(mu.cell_weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -118,168 +155,85 @@ class ExcessResult:
         return iter((self.value, self.witness))
 
 
-class _ExcessNetwork:
-    """Min-cut model of max_A [mass(rep A) - C P(A) - penalty |A|]."""
+class _CertificateNetwork:
+    """Flow model of routing mu to the exterior through faces of capacity C.
 
-    def __init__(
-        self,
-        mu: MeasureData,
-        C: Fraction,
-        variant: ICVariant,
-        cell_penalty: Fraction = ZERO,
-        for_certificate: bool = False,
-    ):
+    The plain variant's excess max_A [mu(A+) - C P(A)] is supply minus the
+    max flow when no face is heavier than 2C.  A heavier face must send at
+    least w/2 - C to each side (its mandatory share) and splits the other
+    2C freely, which keeps every |sigma| <= C.  Capacities are integers
+    over twice the common denominator, since the mandatory shares may
+    halve the grain.
+    """
+
+    def __init__(self, mu: MeasureData, C: Fraction):
         domain = mu.domain
-        admissible, charged, rep = _variant_setup(domain, variant)
         self.domain = domain
-
-        den = C.denominator
-        den = math.lcm(den, cell_penalty.denominator)
-        for w in mu.face_weights.values():
-            den = math.lcm(den, w.denominator)
-        for w in mu.cell_weights.values():
-            den = math.lcm(den, w.denominator)
-        if for_certificate:
-            den *= 2  # mandatory shares are w/2 - C, which may halve the grain
+        den = 2 * math.lcm(
+            C.denominator,
+            *(w.denominator for w in mu.face_weights.values()),
+            *(w.denominator for w in mu.cell_weights.values()),
+        )
         self.den = den
         Cs = int(C * den)
-        pen = int(cell_penalty * den)
-
-        self.reducible = True
-        self.blockers: List[str] = []
 
         net = FlowNetwork()
         self.net = net
-        self.cell_node: Dict[Cell, int] = {}
-        for c in sorted(admissible):
-            self.cell_node[c] = net.add_node()
-
-        # pre-compute a hard capacity from an upper bound on everything finite
-        finite_total = (
-            sum(int(w * den) for w in mu.face_weights.values())
-            + sum(int(w * den) for w in mu.cell_weights.values())
-            + Cs * 4 * len(charged)
-            + abs(pen) * len(admissible)
-        )
-        self.hard = 1 + finite_total
-
+        self.cell_node: Dict[Cell, int] = {c: net.add_node() for c in domain.cells()}
         supply = 0
-        # gadget bookkeeping for certificate extraction:
-        # face -> dict with arc indices and metadata
-        self.face_info: Dict[Face, dict] = {}
-
-        mass_faces = dict(mu.face_weights)
-        relevant = sorted(set(mass_faces) | set(charged))
-        for face in relevant:
-            W = int(mass_faces.get(face, ZERO) * den)
-            is_charged = face in charged
+        # per face, what the decoder reads off the flows (in units of 1/den):
+        # a massless face's (arc, sign) with sigma = sign * flow, or a mass
+        # face's (const, arc, sign) per side (lower, upper; None is the
+        # exterior) with its share into that side = const + sign * flow
+        self.sigma_arc: Dict[Face, Tuple[int, int]] = {}
+        self.share_arcs: Dict[Face, tuple] = {}
+        for face in domain.faces():
+            W = int(mu.face_weight(face) * den)
             inc = domain.face_cells(face)
-            inc_adm = [c for c in inc if c in admissible]
-            open_sides = 2 - len(inc_adm) if len(inc) == 2 else 1 + (1 - len(inc_adm))
-            info = {"face": face, "w": W, "charged": is_charged, "arcs": {}}
-
-            counts_mass = W > 0 and (
-                (rep == CLOSURE and len(inc_adm) >= 1)
-                or (rep == INTERIOR and len(inc) == 2 and len(inc_adm) == 2)
-            )
-
-            if not counts_mass and not (is_charged and len(inc_adm) >= 1):
-                continue  # face can never cross nor contribute mass
-
-            if counts_mass and rep == CLOSURE:
-                if for_certificate and is_charged and W > 2 * Cs:
-                    # share-constrained routing: each side must absorb at
-                    # least w/2 - C (mandatory), the remaining 2C splits
-                    # freely; this encodes |sigma| <= C exactly, but the
-                    # cut no longer models the excess
-                    mand = W // 2 - Cs
-                    info["cert_heavy"] = True
-                    info["mandatory"] = mand
-                    for c in inc_adm:
-                        net.add_arc(net.source, self.cell_node[c], mand)
-                        supply += mand
-                    # an exterior side's mandatory share simply leaves
-                    if 2 * Cs > 0:
-                        f_node = net.add_node()
-                        info["node"] = f_node
-                        info["supply_arc"] = net.add_arc(net.source, f_node, 2 * Cs)
-                        supply += 2 * Cs
-                        for c in inc_adm:
-                            info["arcs"][c] = net.add_arc(
-                                f_node, self.cell_node[c], 2 * Cs
-                            )
-                        for _ in range(open_sides):
-                            info["sink_arc"] = net.add_arc(f_node, net.sink, 2 * Cs)
-                elif is_charged and len(inc_adm) == 1:
-                    # modular: pays C when the cell is in, W when it is out
-                    u = self.cell_node[inc_adm[0]]
-                    info["modular"] = True
-                    info["supply_arc"] = net.add_arc(net.source, u, W)
-                    info["sink_arc"] = net.add_arc(u, net.sink, Cs)
-                    supply += W
-                elif is_charged:
-                    if W > 2 * Cs:
-                        self.reducible = False
-                        self.blockers.append(
-                            f"face {face}: weight exceeds 2C on a charged "
-                            "two-sided face"
-                        )
-                        continue
+            lo, hi = domain.lower_cell(face), domain.upper_cell(face)
+            if W > 2 * Cs:
+                mand = W // 2 - Cs
+                for c in inc:
+                    net.add_arc(net.source, self.cell_node[c], mand)
+                    supply += mand
+                sides = {lo: (mand, None, 0), hi: (mand, None, 0)}
+                # an exterior side's mandatory share simply leaves
+                if 2 * Cs > 0:
                     f_node = net.add_node()
-                    info["node"] = f_node
-                    info["supply_arc"] = net.add_arc(net.source, f_node, W)
-                    supply += W
-                    for c in inc_adm:
-                        info["arcs"][c] = net.add_arc(self.cell_node[c], f_node, Cs, Cs)
-                else:
-                    if len(inc_adm) >= 2:
-                        self.reducible = False
-                        self.blockers.append(
-                            f"face {face}: closure mass on an uncharged two-sided face"
-                        )
-                        continue
-                    f_node = net.add_node()
-                    info["node"] = f_node
-                    info["supply_arc"] = net.add_arc(net.source, f_node, W)
-                    supply += W
-                    info["arcs"][inc_adm[0]] = net.add_arc(
-                        f_node, self.cell_node[inc_adm[0]], self.hard
-                    )
-            elif counts_mass and rep == INTERIOR:
-                f_node = net.add_node()
-                info["node"] = f_node
-                info["supply_arc"] = net.add_arc(net.source, f_node, W)
+                    net.add_arc(net.source, f_node, 2 * Cs)
+                    supply += 2 * Cs
+                    for c in inc:
+                        sides[c] = (mand, net.add_arc(f_node, self.cell_node[c], 2 * Cs), 1)
+                    if len(inc) == 1:
+                        sides[None] = (mand, net.add_arc(f_node, net.sink, 2 * Cs), 1)
+                self.share_arcs[face] = (sides[lo], sides[hi])
+            elif W and len(inc) == 1:
+                # modular: pays C when the cell is in, W when it is out; the
+                # supply not delivered to the cell leaves through the sink arc
+                u = self.cell_node[inc[0]]
+                net.add_arc(net.source, u, W)
+                out = net.add_arc(u, net.sink, Cs)
                 supply += W
-                for c in inc_adm:
-                    info["arcs"][c] = net.add_arc(f_node, self.cell_node[c], self.hard)
-                if is_charged:
-                    u, v = inc_adm
-                    info["through_arc"] = net.add_arc(
-                        self.cell_node[u], self.cell_node[v], Cs, Cs
-                    )
+                sides = {inc[0]: (W, out, -1), None: (0, out, 1)}
+                self.share_arcs[face] = (sides[lo], sides[hi])
+            elif W:
+                f_node = net.add_node()
+                net.add_arc(net.source, f_node, W)
+                supply += W
+                self.share_arcs[face] = tuple(
+                    (0, net.add_arc(self.cell_node[c], f_node, Cs, Cs), -1) for c in inc
+                )
+            elif len(inc) == 2:
+                arc = net.add_arc(self.cell_node[lo], self.cell_node[hi], Cs, Cs)
+                self.sigma_arc[face] = (arc, 1)
             else:
-                # charged, massless (or mass that can never count)
-                if len(inc_adm) == 2:
-                    u, v = inc_adm
-                    info["through_arc"] = net.add_arc(
-                        self.cell_node[u], self.cell_node[v], Cs, Cs
-                    )
-                elif len(inc_adm) == 1:
-                    info["sink_arc"] = net.add_arc(
-                        self.cell_node[inc_adm[0]], net.sink, Cs
-                    )
-            self.face_info[face] = info
+                arc = net.add_arc(self.cell_node[inc[0]], net.sink, Cs)
+                self.sigma_arc[face] = (arc, 1 if hi is None else -1)
 
         for c in sorted(mu.cell_weights):
-            if c not in admissible:
-                continue
             W = int(mu.cell_weights[c] * den)
             net.add_arc(net.source, self.cell_node[c], W)
             supply += W
-        if pen > 0:
-            for c in sorted(admissible):
-                net.add_arc(self.cell_node[c], net.sink, pen)
-
         self.supply = supply
 
     def witness_cells(self, node_set: Iterable) -> CellSet:
@@ -294,59 +248,20 @@ class _ExcessNetwork:
         excess = Fraction(self.supply - result.value, self.den)
         return result, excess
 
-    def maximal_source_side(self) -> frozenset:
-        """Nodes of the inclusion-maximal min cut (complement of sink-reaching)."""
-        net = self.net
-        reaching = {net.sink}
-        stack = [net.sink]
-        while stack:
-            v = stack.pop()
-            for i in net.adj[v]:
-                u = net.to[i]
-                # arc u -> v is i^1; it is residual if cap[i^1] > 0
-                if net.cap[i ^ 1] > 0 and u not in reaching:
-                    reaching.add(u)
-                    stack.append(u)
-        return frozenset(range(net.n_nodes)) - reaching
 
-
-def _single_cell_excess(
-    mu: MeasureData,
-    C: Fraction,
-    variant: ICVariant,
-    cell_penalty: Fraction,
-    cell: Cell,
-) -> Fraction:
-    domain = mu.domain
-    admissible, charged, rep = _variant_setup(domain, variant)
-    mass = mu.cell_weight(cell)
-    perim = ZERO
-    for f in domain.cell_faces(cell):
-        if f in charged:
-            perim += C
-        w = mu.face_weight(f)
-        if w and rep == CLOSURE:
-            mass += w
-        # a single cell has no interior faces, so rep == INTERIOR adds nothing
-    return mass - perim - cell_penalty
-
-
-def _brute_excess(
-    mu: MeasureData,
-    C: Fraction,
-    variant: ICVariant,
-    cell_penalty: Fraction,
-):
-    domain = mu.domain
-    admissible, charged, rep = _variant_setup(domain, variant)
-    return scan_excess(
-        domain,
-        sorted(admissible),
-        charged_faces={f: C for f in charged},
-        mass_faces={f: (w, rep) for f, w in mu.face_weights.items()},
-        cell_masses=dict(mu.cell_weights),
-        cell_penalty=cell_penalty,
-    )
+def _maximal_source_side(net: FlowNetwork) -> frozenset:
+    """Nodes of the inclusion-maximal min cut (complement of sink-reaching)."""
+    reaching = {net.sink}
+    stack = [net.sink]
+    while stack:
+        v = stack.pop()
+        for i in net.adj[v]:
+            u = net.to[i]
+            # arc u -> v is i^1; it is residual if cap[i^1] > 0
+            if net.cap[i ^ 1] > 0 and u not in reaching:
+                reaching.add(u)
+                stack.append(u)
+    return frozenset(range(net.n_nodes)) - reaching
 
 
 def strong_excess(
@@ -360,9 +275,10 @@ def strong_excess(
 ) -> ExcessResult:
     """Maximum of mu(rep(A)) - C P(A) - penalty |A| over nonempty test sets.
 
-    The IC with constant C holds iff the returned value is <= 0.  Uses the
-    min-cut reduction when every mass face is reducible (all charged face
-    weights <= 2C), otherwise exhaustive search below the configured cap.
+    The IC with constant C holds iff the returned value is <= 0.  Cuts the
+    compiled excess energy when it is submodular (every two-sided closure
+    face charged and no heavier than 2C), otherwise searches exhaustively
+    below the configured cap.
 
     One max flow gives the best set, the empty one included.  If only the
     empty set attains it, one sweep over the sorted admissible cells
@@ -381,47 +297,61 @@ def strong_excess(
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
     domain = mu.domain
-    admissible, _, _ = _variant_setup(domain, variant)
+    terms = _excess_terms(mu, C, variant)
+    admissible = terms["admissible"]
     if not admissible:
         raise ValueError("variant admits no test sets on this grid")
 
     if cell_penalty < 0:
         raise ValueError("cell penalty must be nonnegative")
 
-    model = None if method == "exhaustive" else _ExcessNetwork(mu, C, variant, cell_penalty)
-    if method == "min-cut" and not model.reducible:
-        raise ValueError(f"instance is not min-cut reducible: {model.blockers}")
+    report = None
+    if method != "exhaustive":
+        energy = assemble_excess(domain, **terms, cell_penalty=cell_penalty)
+        report = check_submodular(energy)
+        if method == "min-cut" and not report.ok:
+            blockers = [
+                f"face {v.face}: weight exceeds 2C on a charged two-sided face"
+                if v.face in terms["charged_faces"]
+                else f"face {v.face}: closure mass on an uncharged two-sided face"
+                for v in report.violations
+            ]
+            raise ValueError(f"instance is not min-cut reducible: {blockers}")
 
-    if model is None or not model.reducible:
+    if report is None or not report.ok:
         cap = resolve_cap(exhaustive_cap)
         if len(admissible) > cap:
             raise ExhaustiveCapacityExceeded(len(admissible), cap)
-        scan = _brute_excess(mu, C, variant, cell_penalty)
+        scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
         return ExcessResult(scan.best_value, scan.best_set, "exhaustive")
 
-    result, excess = model.solve()
-    if excess > 0:
-        witness = model.witness_cells(result.source_side)
-        return ExcessResult(excess, witness, "min-cut")
+    net, node_of, base = _cut_network(energy)
 
-    maximal = model.maximal_source_side()
-    witness = model.witness_cells(maximal)
-    if witness.volume > 0:
-        return ExcessResult(ZERO, witness, "min-cut")
+    def witness(nodes) -> CellSet:
+        return CellSet.of(domain, [c for c, n in node_of.items() if n in nodes])
+
+    # least = den * the least energy = -den * the best excess, empty set
+    # included (it scores 0)
+    result = max_flow(net)
+    least = base + result.value
+    if least < 0:
+        return ExcessResult(Fraction(-least, energy.den), witness(result.source_side), "min-cut")
+
+    maximal = witness(_maximal_source_side(net))
+    if maximal.volume > 0:
+        return ExcessResult(ZERO, maximal, "min-cut")
 
     # all nonempty sets have negative excess: sweep the cells (see above)
-    net = model.net
     sinks = [v == net.sink for v in range(net.n_nodes)]
-    best: Optional[Fraction] = None
+    best: Optional[int] = None
     best_witness: Optional[CellSet] = None
-    for node in model.cell_node.values():  # sorted cell order
+    for node in node_of.values():  # sorted cell order
         delta = augment(net, node, sinks)
-        value = Fraction(model.supply - result.value - delta, model.den)
-        if best is None or value > best:
-            best = value
-            best_witness = model.witness_cells(_residual_reachable(net, node))
+        if best is None or delta < best:
+            best = delta
+            best_witness = witness(_residual_reachable(net, node))
         sinks[node] = True
-    return ExcessResult(best, best_witness, "min-cut")
+    return ExcessResult(Fraction(-(least + best), energy.den), best_witness, "min-cut")
 
 
 @dataclass(frozen=True)
@@ -471,7 +401,8 @@ def small_volume_profile(
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
     domain = mu.domain
-    admissible, _, _ = _variant_setup(domain, variant)
+    terms = _excess_terms(mu, C, variant)
+    admissible = terms["admissible"]
     if not admissible:
         raise ValueError("variant admits no test sets on this grid")
     if v_max is None:
@@ -482,7 +413,7 @@ def small_volume_profile(
 
     cap = resolve_cap(exhaustive_cap)
     if len(admissible) <= cap:
-        scan = _brute_excess(mu, C, variant, cell_penalty)
+        scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
         entries = []
         running: Optional[Fraction] = None
         for v in range(1, v_max + 1):
@@ -535,8 +466,11 @@ def small_volume_profile(
     record(lam_hi, exh, with_)
     sweep(ZERO, ex0, wit0, lam_hi, exh, with_)
 
-    best_single = max(
-        _single_cell_excess(mu, C, variant, cell_penalty, c) for c in admissible
+    energy = assemble_excess(domain, **terms, cell_penalty=cell_penalty)
+    gain, links = flip_links(energy)
+    best_single = Fraction(
+        -min(gain[c] + sum(if_out for _, if_out, _ in links[c]) for c in admissible),
+        energy.den,
     )
     if 1 not in exact or best_single > exact[1]:
         exact[1] = best_single
@@ -602,7 +536,7 @@ def divergence_certificate(mu: MeasureData, C):
         raise ValueError("C must be nonnegative")
     domain = mu.domain
     heavy = tuple(f for f, w in sorted(mu.face_weights.items()) if w > 2 * C)
-    model = _ExcessNetwork(mu, C, ICVariant.plain(), for_certificate=True)
+    model = _CertificateNetwork(mu, C)
     result, slack = model.solve()
     if slack > 0:
         # min-cut source side refutes routing; for weights <= 2C the deficit
@@ -616,61 +550,18 @@ def divergence_certificate(mu: MeasureData, C):
 
     den = model.den
     half = Fraction(1, 2)
+    flows = result.flows
     sigma: Dict[Face, Fraction] = {}
     shares: Dict[Face, Tuple[Fraction, Fraction]] = {}
-
-    def net_flow(arc: int) -> Fraction:
-        return Fraction(result.flow_on(arc), den)
-
     for face in domain.faces():
-        info = model.face_info.get(face)
-        lo = domain.lower_cell(face)
-        hi = domain.upper_cell(face)
-        w = mu.face_weight(face)
-        if info is None:
-            sigma[face] = ZERO
-            if w:
-                shares[face] = (w * half, w * half)
+        if face in model.sigma_arc:
+            arc, sign = model.sigma_arc[face]
+            sigma[face] = Fraction(sign * flows[arc], den)
             continue
-        arcs = info["arcs"]
-        if info["w"] == 0:
-            if "through_arc" in info:
-                sigma[face] = net_flow(info["through_arc"])
-            elif "sink_arc" in info:
-                out = net_flow(info["sink_arc"])
-                sigma[face] = out if hi is None else -out
-            else:
-                sigma[face] = ZERO
-            continue
-        # mass-carrying face: one-sided fluxes t_lo, t_hi (into each side)
-        if info.get("cert_heavy"):
-            mand = Fraction(info["mandatory"], den)
-            free = {}
-            for side in (lo, hi):
-                if side is None:
-                    free[side] = net_flow(info["sink_arc"]) if "sink_arc" in info else ZERO
-                else:
-                    free[side] = net_flow(arcs[side]) if side in arcs else ZERO
-            t_lo = mand + free[lo]
-            t_hi = mand + free[hi]
-        elif info.get("modular"):
-            # one-sided face: supply delivered to the cell, remainder to the
-            # exterior through the sink arc
-            y = net_flow(info["sink_arc"])
-            t_cell = Fraction(info["w"], model.den) - y
-            if hi is None:
-                t_lo, t_hi = t_cell, y
-            else:
-                t_lo, t_hi = y, t_cell
-        elif lo is not None and hi is not None:
-            t_lo = -net_flow(arcs[lo])
-            t_hi = -net_flow(arcs[hi])
-        elif hi is None:  # exterior above
-            t_lo = -net_flow(arcs[lo])
-            t_hi = net_flow(info["sink_arc"])
-        else:  # exterior below
-            t_hi = -net_flow(arcs[hi])
-            t_lo = net_flow(info["sink_arc"])
+        t_lo, t_hi = (
+            Fraction(const + (sign * flows[arc] if arc is not None else 0), den)
+            for const, arc, sign in model.share_arcs[face]
+        )
         sigma[face] = (t_hi - t_lo) * half
         shares[face] = (t_lo, t_hi)
 

@@ -98,9 +98,6 @@ class CutResult:
     source_side: frozenset
     flows: tuple  # net flow per arc index, aligned with the network's arcs
 
-    def flow_on(self, arc_index: int) -> int:
-        return self.flows[arc_index]
-
 
 def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list] = None) -> int:
     """Push flow from ``source`` until no residual path reaches a sink node.
@@ -215,21 +212,14 @@ def cut_capacity(net: FlowNetwork, source_side: frozenset, caps: list) -> int:
     return total
 
 
-def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
-    """Global minimizer of a submodular energy via graph cut.
+def _cut_network(energy: BinaryEnergy):
+    """Network whose cuts price a submodular energy: (net, node of each free cell, base).
 
-    Returns the canonical inclusion-minimal minimizer (as a full CellSet,
-    frozen cells included) together with its exact value.  The network is
-    built from the energy's integers; the value is read off the cut and
-    checked against an integer evaluation of the returned set.
+    A cut with source side {source} + the nodes of A has capacity
+    den * E(A) - base.
     """
-    report = check_submodular(energy)
-    if not report.ok:
-        raise NonSubmodularError(report)
-
-    free = energy.free_cells
     net = FlowNetwork()
-    node_of = {c: net.add_node() for c in free}
+    node_of = {c: net.add_node() for c in energy.free_cells}
 
     # theta = e00 + (e10-e00) x_lo + (e11-e10) x_hi + (e01+e10-e00-e11) (1-x_lo) x_hi:
     # gain is the net cost of labeling a cell 1; base collects the terms free
@@ -246,19 +236,34 @@ def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
         if coeff:
             pair_arcs.append((node_of[term.upper], node_of[term.lower], coeff))
 
-    for c in free:
+    for c, node in node_of.items():
         g = gain[c]
         if g > 0:
-            net.add_arc(node_of[c], net.sink, g)
+            net.add_arc(node, net.sink, g)
         elif g < 0:
-            net.add_arc(net.source, node_of[c], -g)
+            net.add_arc(net.source, node, -g)
             base += g
     for u, v, cap in pair_arcs:
         net.add_arc(u, v, cap)
+    return net, node_of, base
 
+
+def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
+    """Global minimizer of a submodular energy via graph cut.
+
+    Returns the canonical inclusion-minimal minimizer (as a full CellSet,
+    frozen cells included) together with its exact value.  The network is
+    built from the energy's integers; the value is read off the cut and
+    checked against an integer evaluation of the returned set.
+    """
+    report = check_submodular(energy)
+    if not report.ok:
+        raise NonSubmodularError(report)
+
+    net, node_of, base = _cut_network(energy)
     value = base + augment(net)
     reach = _residual_reachable(net)
-    sol = energy.full_set(frozenset(c for c in free if node_of[c] in reach))
+    sol = energy.full_set(frozenset(c for c, node in node_of.items() if node in reach))
     if _total(energy, sol.cells) != value:
         raise AssertionError("cut value and energy of the minimizer disagree")
     return sol, Fraction(value, energy.den)

@@ -1,26 +1,25 @@
 """Exhaustive enumeration oracles for desk-scale instances.
 
 These scans walk all subsets of an admissible cell pool in Gray-code
-order, in cleared integer arithmetic.  Each step flips one cell, and
+order, over the integers of the excess energy that
+``energy.assemble_excess`` compiles.  Each step flips one cell, and
 since every face has at most two incident cells, the value changes by an
 amount fixed by that cell and the states of its admissible neighbours:
 one lookup in a per-cell table keyed by the neighbour bits.  They are
-the brute-force side of every dual-route check in the package:
-independent of the min-cut reduction, and exact.
+the enumeration side of the package's dual-route checks: exact, and
+free of the max-flow code, but sharing the compiled energy with the
+min cut; the route independent of both is ``tests/naive.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .energy import CLOSURE, assemble_excess, flip_links
 from .grid import CellSet, Face, GridDomain
 from .measure import MeasureData
-
-CLOSURE = 0
-INTERIOR = 1
 
 
 class ExhaustiveCapacityExceeded(RuntimeError):
@@ -63,10 +62,10 @@ def scan_excess(
     selected; faces with an inadmissible or exterior side never count).
     Only nonempty subsets of ``admissible`` compete.
 
-    Cell i of the sorted pool is bit i.  Per cell, a table keyed by the
-    bits of the cell and its admissible neighbours holds the flip delta,
-    folding in the cell's mass and penalty, each crossed face's charge and
-    the CLOSURE/INTERIOR mass rule; a Gray step is one lookup.  Ties go to
+    The excess is compiled by ``energy.assemble_excess``.  Cell i of the
+    sorted pool is bit i.  Per cell, a table keyed by the bits of the cell
+    and its admissible neighbours holds the flip delta, read off the
+    energy's unary and face terms; a Gray step is one lookup.  Ties go to
     the set reached first in Gray order (step g visits the bits of
     g ^ (g >> 1)), both overall and at each volume.
     """
@@ -74,65 +73,28 @@ def scan_excess(
     n = len(cells)
     if n == 0:
         raise ValueError("no admissible cells to scan")
-    idx = {c: i for i, c in enumerate(cells)}
-    adm = frozenset(cells)
+    energy = assemble_excess(
+        domain, cells, charged_faces, mass_faces, cell_masses, cell_penalty
+    )
+    gain, links = flip_links(energy)
 
-    den = cell_penalty.denominator
-    for w in charged_faces.values():
-        den = math.lcm(den, w.denominator)
-    for w, _rep in mass_faces.values():
-        den = math.lcm(den, w.denominator)
-    for w in cell_masses.values():
-        den = math.lcm(den, w.denominator)
-
-    # links[i][j] = [d0, d1]: the change from cell i entering while its
-    # neighbour j is out / in.  A face with one admissible side folds into
-    # the cell's gain.
-    cell_gain = [-int(cell_penalty * den)] * n  # cell mass minus penalty, scaled
-    for c, w in cell_masses.items():
-        if c in adm:
-            cell_gain[idx[c]] += int(w * den)
-    links: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-    for face in set(charged_faces) | set(mass_faces):
-        inc_adm = [idx[c] for c in domain.face_cells(face) if c in adm]
-        if not inc_adm:
-            continue
-        charge = int(charged_faces.get(face, Fraction(0)) * den)
-        mass, need = 0, 1
-        if face in mass_faces:
-            w, rep = mass_faces[face]
-            if rep == CLOSURE:
-                mass = int(w * den)
-            elif len(inc_adm) == 2:
-                mass, need = int(w * den), 2
-            # else the face can never be interior to a scanned set
-        if len(inc_adm) == 1:
-            cell_gain[inc_adm[0]] += mass - charge
-            continue
-        # entering with the other side out crosses the face; with it in,
-        # the crossing closes
-        out_delta = (mass if need == 1 else 0) - charge
-        in_delta = (mass if need == 2 else 0) + charge
-        for i, j in (inc_adm, inc_adm[::-1]):
-            d = links[i].setdefault(j, [0, 0])
-            d[0] += out_delta
-            d[1] += in_delta
-
-    # Per cell: a mask of the cell and its neighbours, and the flip delta
-    # for every state under that mask.  An entering cell's own bit is set
-    # after the flip; a leaving cell sees the same neighbours and takes the
-    # negated delta.
-    bit_of = [1 << i for i in range(n)]
-    flip_mask = bit_of[:]
+    # Per cell: a mask of the cell and its neighbours, and the change of the
+    # excess (the energy's change, negated) for every state under that mask.
+    # An entering cell's own bit is set after the flip; a leaving cell sees
+    # the same neighbours and takes the negated change.
+    bit_of = {c: 1 << i for i, c in enumerate(cells)}
+    flip_mask = []
     table: List[Dict[int, int]] = []
-    for i in range(n):
-        enter = {0: cell_gain[i] + sum(d0 for d0, _ in links[i].values())}
-        for j, (d0, d1) in links[i].items():
-            flip_mask[i] |= bit_of[j]
+    for c in cells:
+        mask = bit_of[c]
+        enter = {0: -gain[c] - sum(if_out for _, if_out, _ in links[c])}
+        for other, if_out, if_in in links[c]:
+            mask |= bit_of[other]
             for m, v in list(enter.items()):
-                enter[m | bit_of[j]] = v + d1 - d0
+                enter[m | bit_of[other]] = v - if_in + if_out
         entries = {m: -v for m, v in enter.items()}
-        entries.update((m | bit_of[i], v) for m, v in enter.items())
+        entries.update((m | bit_of[c], v) for m, v in enter.items())
+        flip_mask.append(mask)
         table.append(entries)
 
     # A full Gray walk reaches every volume 1..n: keep each volume's first
@@ -146,7 +108,7 @@ def scan_excess(
     bits = 0
     for g in range(1, 1 << n):
         i = (g & -g).bit_length() - 1
-        bits ^= bit_of[i]
+        bits ^= 1 << i
         value += table[i][bits & flip_mask[i]]
         volume = bits.bit_count()
         if value > vol_value[volume]:
@@ -159,7 +121,8 @@ def scan_excess(
         return CellSet.of(domain, [cells[i] for i in range(n) if b >> i & 1])
 
     per_volume = (None,) + tuple(
-        (Fraction(vol_value[v], den), to_set(vol_bits[v])) for v in range(1, n + 1)
+        (Fraction(vol_value[v], energy.den), to_set(vol_bits[v]))
+        for v in range(1, n + 1)
     )
     return ScanResult(
         best_value=per_volume[best][0],

@@ -20,6 +20,7 @@ from .energy import (
     FullSpace,
     assemble,
     evaluate,
+    flip_links,
     freeze,
 )
 from .grid import CellSet, Region, _check_same_domain
@@ -100,17 +101,10 @@ def _greedy_resize(energy: BinaryEnergy, start: CellSet, target: int) -> CellSet
     """Move |A| to the target one best single-cell flip at a time.
 
     Each step takes the first cell, in sorted order, whose flip gives the
-    strictly lowest energy.  Flips are scored by their integer delta: the
-    cell's unary gain plus, per face term, the cost change on that cell's
-    side given whether the neighbour is in.
+    strictly lowest energy.  Flips are scored by their integer delta from
+    ``flip_links``, given which neighbours are in.
     """
-    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
-    # cell -> [(neighbour, delta of entering while it is out, ... while in)]
-    links = {c: [] for c in energy.free_cells}
-    for term in energy.face_terms.values():
-        (e00, e01), (e10, e11) = term.table
-        links[term.lower].append((term.upper, e10 - e00, e11 - e01))
-        links[term.upper].append((term.lower, e01 - e00, e11 - e10))
+    gain, links = flip_links(energy)
     current = set(start.cells)
     free = set(energy.free_cells)
     while len(current) != target:

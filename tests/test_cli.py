@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from perivar import CellSet, GridDomain
+from perivar import CellSet, GridDomain, ICVariant, Region, hyperplane_measure, strong_excess
 from perivar import cli
 from perivar.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from perivar.fileio import parse_rational, write_mask
@@ -221,3 +221,27 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
     assert err.startswith("error: ")
     assert str(error) in err
     assert "Traceback" not in err
+
+
+def test_variant_options(tmp_path, capsys):
+    # an avoid-ball variant needs a radius: one error line, exit 2
+    doc = line_problem()
+    del doc["problem"]
+    doc["options"] = {"variant": {"kind": "avoid-ball"}}
+    problem = write_problem(tmp_path, doc)
+    code = main(["ic", "strong", "--problem", problem, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: avoid-ball variant requires a radius\n"
+    # a relative variant takes the file's region
+    d = GridDomain((6, 6))
+    region = CellSet.box(d, (0, 0), (5, 3))
+    doc["options"] = {"variant": {"kind": "relative"}}
+    doc["region"] = {"cells": [list(c) for c in sorted(region.cells)]}
+    problem = write_problem(tmp_path, doc)
+    outdir = tmp_path / "rel"
+    assert main(["ic", "strong", "--problem", problem, "--out", str(outdir)]) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    mu = hyperplane_measure(d, 1, 3, F(2))
+    want = strong_excess(mu, 1, ICVariant.relative(Region.of(d, region.cells)))
+    assert want.value != strong_excess(mu, 1).value
+    assert parse_rational(report["excess"]) == want.value

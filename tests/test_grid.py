@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -174,3 +176,14 @@ def test_perimeter_matches_naive_property(data):
     d = GridDomain(dims)
     A = CellSet.of(d, data.draw(st.sets(st.sampled_from(list(d.cells())))))
     assert perimeter(A) == naive.perimeter(dims, A.cells)
+
+
+def test_region_face_sets_are_freed_with_the_region():
+    d = GridDomain((4, 4))
+    region = Region.of(d, CellSet.box(d, (0, 0), (2, 1)).cells)
+    assert region.closure_faces() == closure_faces(region.cell_set())
+    assert region.interior_faces() == interior_faces(region.cell_set())
+    ref = weakref.ref(region)
+    del region
+    gc.collect()
+    assert ref() is None

@@ -1,7 +1,12 @@
 """Static checks on the package source (no linter is a dependency)."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
+
+from perivar import oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perivar"
 
@@ -37,3 +42,21 @@ def test_no_unused_module_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
     assert not found, "imported but never used: " + ", ".join(found)
+
+
+def test_benchmark_bindings_resolve():
+    # the benchmark's tracer rebinds these by name and reads scan_excess's
+    # second argument as the admissible pool
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parent.parent / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{func}"
+        for module, func in tracer.TRACED
+        if not callable(getattr(importlib.import_module(f"perivar.{module}"), func, None))
+    ]
+    assert not missing, "traced functions missing: " + ", ".join(missing)
+    params = list(inspect.signature(oracle.scan_excess).parameters)
+    assert params[1] == "admissible"

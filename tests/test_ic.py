@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_measure
+from conftest import as_raw, rand_measure, rand_weight
 from perivar import (
     CellSet,
     DivergenceCertificate,
@@ -28,7 +28,9 @@ from perivar import (
     sum_measures,
 )
 from perivar import ic
+from perivar.energy import assemble_excess, check_submodular, evaluate
 from perivar.ic import resolve_cap
+from perivar.maxflow import FlowNetwork
 from perivar.oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded
 
 F = Fraction
@@ -197,24 +199,27 @@ def test_non_reducible_instances_fall_back_or_raise():
 
 
 def test_exhaustive_method_builds_no_network(monkeypatch):
-    d = GridDomain((14,))
-    mu = hyperplane_measure(d, 0, 7, 2)
     builds = []
-    init = ic._ExcessNetwork.__init__
+    init = FlowNetwork.__init__
 
     def counting_init(self, *args, **kwargs):
         builds.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ic._ExcessNetwork, "__init__", counting_init)
+    monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
+    d = GridDomain((14,))
+    mu = hyperplane_measure(d, 0, 7, 2)
     res = strong_excess(mu, 1, method="exhaustive")
     # in 1D the best set is an interval over the line face: 2 - P = 0
     assert res.method == "exhaustive" and res.value == 0
     assert len(builds) == 0
-    # the min-cut route still builds it, and names what blocks it
+    # a non-submodular energy is refused before any network, naming the face
     heavy = hyperplane_measure(GridDomain((3, 3)), 1, 1, F(9, 4))
     with pytest.raises(ValueError, match="not min-cut reducible.*weight exceeds 2C"):
         strong_excess(heavy, 1, method="min-cut")
+    assert len(builds) == 0
+    res = strong_excess(mu, 1, method="min-cut")
+    assert res.method == "min-cut" and res.value == 0
     assert len(builds) == 1
 
 
@@ -389,3 +394,70 @@ def test_singular_sum_check_parallel_lines():
     ):
         assert row.phi1 == e1.phi and row.phi2 == e2.phi and row.phi_sum == es.phi
         assert row.phi_sum >= max(row.phi1, row.phi2)
+
+
+def _naive_variant(rng, dims, kind):
+    """(variant, admissible cells, charged faces, rep) built from raw tuples."""
+    cells = naive.all_cells(dims)
+    faces = naive.all_faces(dims)
+    if kind in ("plain", "interior-rep"):
+        rep = "interior" if kind == "interior-rep" else "closure"
+        return ICVariant(kind), cells, faces, rep
+    if kind == "avoid-ball":
+        radius = rng.randint(0, 1)
+        inside = [
+            c
+            for c in cells
+            if all(abs(2 * x - (n - 1)) <= 2 * radius for x, n in zip(c, dims))
+        ]
+        return ICVariant.avoid_ball(radius), [c for c in cells if c not in inside], faces, "closure"
+    omega = [c for c in cells if rng.random() < 0.7] or cells[:1]
+    charged = [
+        f for f in faces if all(side in omega for side in naive.face_sides(dims, f))
+    ]
+    region = Region.of(GridDomain(dims), omega)
+    if kind == "relative":
+        return ICVariant.relative(region), omega, charged, "closure"
+    return ICVariant.relative_to_boundary(region), cells, charged, "closure"
+
+
+def test_assemble_excess_matches_definitions(rng):
+    kinds = ("plain", "interior-rep", "relative", "avoid-ball", "relative-to-boundary")
+    dens = (1, 2, 3, 4, 5, 6, 7)
+    blocked = {True: 0, False: 0}
+    for trial in range(60):
+        dims = rng.choice([(5,), (9,), (3, 3), (2, 4), (2, 2, 2)])
+        d = GridDomain(dims)
+        variant, cells, charged, rep = _naive_variant(rng, dims, kinds[trial % len(kinds)])
+        if not cells:
+            continue
+        fw = {f: rand_weight(rng, 0, 4, dens) for f in rng.sample(d.faces(), rng.randint(1, 5))}
+        cw = {c: rand_weight(rng, 0, 2, dens) for c in rng.sample(d.cells(), rng.randint(0, 2))}
+        mu = MeasureData(
+            d,
+            face_weights={f: w for f, w in fw.items() if w},
+            cell_weights={c: w for c, w in cw.items() if w},
+        )
+        C = rand_weight(rng, 0, 2, dens)
+        pen = rng.choice([F(0), rand_weight(rng, 0, 1, dens)])
+        energy = assemble_excess(d, **ic._excess_terms(mu, C, variant), cell_penalty=pen)
+        fw, cw = as_raw(mu)
+        mass = naive.closure_mass if rep == "closure" else naive.interior_mass
+        for r in range(len(cells) + 1):
+            for combo in itertools.combinations(sorted(cells), r):
+                A = frozenset(combo)
+                want = (
+                    mass(dims, A, fw, cw)
+                    - C * naive.perimeter(dims, A, charged)
+                    - pen * len(A)
+                )
+                assert -evaluate(energy, CellSet.of(d, A)) == want
+        heavy = rep == "closure" and any(
+            w > 0
+            and all(side in cells for side in naive.face_sides(dims, f))
+            and (f not in charged or w > 2 * C)
+            for f, w in fw.items()
+        )
+        assert check_submodular(energy).ok is not heavy
+        blocked[heavy] += 1
+    assert min(blocked.values()) >= 5

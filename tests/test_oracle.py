@@ -3,7 +3,8 @@ from fractions import Fraction
 import naive
 from conftest import as_raw, face_of, rand_measure
 from perivar import GridDomain, ICVariant, MeasureData, Region, strong_excess
-from perivar.oracle import CLOSURE, INTERIOR, scan_excess, scan_functional_minimum
+from perivar.energy import CLOSURE, INTERIOR
+from perivar.oracle import scan_excess, scan_functional_minimum
 
 F = Fraction
 
