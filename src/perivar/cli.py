@@ -228,7 +228,7 @@ def cmd_ic(args) -> int:
             raise CliInputError("capacity needs a problem of kind 'capacity'")
         faces = [parse_face(pf.domain, f) for f in spec.get("faces", [])]
         cells = [tuple(c) for c in spec.get("cells", [])]
-        value, witness = capacity(pf.domain, faces=faces, cells=cells)
+        value, witness = capacity(pf.domain, faces=faces, cells=cells, exhaustive_cap=cap)
         write_json(
             out / "report.json",
             {"capacity": value, "witness": witness, "witness_volume": witness.volume},

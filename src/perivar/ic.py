@@ -30,6 +30,7 @@ from .energy import (
     flip_links,
     freeze,
 )
+from .frontier import FrontierBudgetExceeded, frontier_minimize
 from .grid import Cell, CellSet, Face, GridDomain, Region, _check_same_domain
 from .maxflow import (
     FlowNetwork,
@@ -589,12 +590,19 @@ def capacity(
     domain: GridDomain,
     faces: Sequence = (),
     cells: Sequence = (),
-    ) -> Tuple[Fraction, CellSet]:
+    *,
+    exhaustive_cap: Optional[int] = None,
+) -> Tuple[Fraction, CellSet]:
     """Minimum perimeter of a set whose closure covers the target.
 
     Target faces need at least one incident cell in the set; target cells
-    must be in the set.  Solved exactly by branch and bound over the
-    two-sided covering choices, with min-cut relaxations as bounds.
+    must be in the set.  Solved exactly by the frontier sweep of the
+    perimeter energy: the target cells and the sole cell of each one-sided
+    target face are frozen in, and each two-sided target face is a
+    covering pair.  When the sweep exceeds the budget of the resolved
+    ``exhaustive_cap`` (``resolve_cap``), branch and bound over the
+    two-sided covering choices, with min-cut relaxations as bounds, solves
+    it instead.
     """
     faces = sorted(set(faces))
     cells = sorted(set(tuple(c) for c in cells))
@@ -619,6 +627,17 @@ def capacity(
     from .measure import SignedPair
 
     base = assemble(SignedPair.zero(domain), FullSpace())
+    pairs = [inc for inc in or_faces if forced_in.isdisjoint(inc)]
+    try:
+        sol, val = frontier_minimize(
+            freeze(base, dict.fromkeys(forced_in, True)),
+            covering=pairs,
+            cap=resolve_cap(exhaustive_cap),
+        )
+    except FrontierBudgetExceeded:
+        pass
+    else:
+        return val, sol
 
     def relax(ins: frozenset, outs: frozenset):
         frozen = {c: True for c in ins}

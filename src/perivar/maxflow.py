@@ -166,14 +166,13 @@ def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list
                 break
 
 
-def max_flow(net: FlowNetwork, initial_caps: Optional[list] = None) -> CutResult:
+def max_flow(net: FlowNetwork) -> CutResult:
     """Maximum flow with the canonical minimal min cut.
 
-    ``initial_caps`` is the pristine capacity vector when the network has
-    already been (partially) solved; by default the current capacities are
-    taken as pristine.
+    The current capacities are taken as pristine: the flows and the value
+    count only what this call adds.
     """
-    base = list(net.cap) if initial_caps is None else list(initial_caps)
+    base = list(net.cap)
     augment(net)
     reach = _residual_reachable(net)
     flows = tuple(base[i] - net.cap[i] for i in range(len(net.cap)))

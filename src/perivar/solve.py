@@ -3,8 +3,9 @@
 All three problems minimize P(A) + mu_plus(A^1) - mu_minus(A+) over a
 constrained class.  Obstacle and Dirichlet classes are lattices, so the
 exact optimum comes from one graph cut.  The volume-constrained class is
-not a lattice: below the enumeration cap it is solved exactly by subset
-scan, above it a Lagrangian sweep gives exact answers at breakpoint
+not a lattice: it is exact within the DP budget (the frontier sweep of
+``frontier``, or subset scan below the enumeration cap) and enveloped
+beyond it, where a Lagrangian sweep gives exact answers at breakpoint
 volumes and certified value brackets elsewhere.
 """
 
@@ -23,6 +24,7 @@ from .energy import (
     flip_links,
     freeze,
 )
+from .frontier import FrontierBudgetExceeded, frontier_minimize
 from .grid import CellSet, Region, _check_same_domain
 from .maxflow import minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
@@ -134,9 +136,13 @@ def solve_volume(
 ) -> SolveResult:
     """Minimum of P(A) - mu_minus(A+) over sets of volume exactly v.
 
-    Exact below the enumeration cap.  Above it, exact when v is a breakpoint
-    volume of the Lagrangian sweep; otherwise returns the best repaired
-    feasible set with a certified lower bound (exactness 'envelope-bound').
+    Exact within the DP budget, enveloped beyond it.  The frontier sweep
+    runs when cells x 2**W x (v + 1) fits in 2**cap, W being the grid's
+    cross-section (the product of all extents but the longest); subset
+    enumeration when the cells fit under the cap instead.  Beyond both the
+    answer is exact when v is a breakpoint volume of the Lagrangian sweep;
+    otherwise it is the best repaired feasible set with a certified lower
+    bound (exactness 'envelope-bound').
     """
     domain = mu_minus.domain
     v = int(v)
@@ -159,6 +165,12 @@ def solve_volume(
         return SolveResult(sol, evaluate(energy, sol), "exact")
 
     cap = resolve_cap(exhaustive_cap)
+    try:
+        sol, value = frontier_minimize(energy, volume=v, cap=cap)
+    except FrontierBudgetExceeded:
+        pass
+    else:
+        return SolveResult(sol, value, "exact")
     if len(free_cells) <= cap:
         scan = scan_functional_minimum(domain, mu_minus, free_cells)
         value, best = scan.best_at_volume[v]

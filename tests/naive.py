@@ -128,6 +128,65 @@ def minimize_over(
     return best, argmins
 
 
+def minima_by_volume(
+    dims,
+    free,
+    fixed_in,
+    plus_faces,
+    plus_cells,
+    minus_faces,
+    minus_cells,
+    perim_faces=None,
+    weight=Fraction(1),
+):
+    """Per count k of free cells in the set: (best value, all argmins).
+
+    One pass over every subset of ``free``; ``fixed_in`` cells belong to
+    every candidate set, as in ``minimize_over``.
+    """
+    free = sorted(free)
+    fixed = frozenset(fixed_in)
+    out = {}
+    for r in range(len(free) + 1):
+        best = None
+        argmins = []
+        for combo in itertools.combinations(free, r):
+            cells = fixed | frozenset(combo)
+            val = functional(
+                dims, cells, plus_faces, plus_cells,
+                minus_faces, minus_cells, perim_faces, weight,
+            )
+            if best is None or val < best:
+                best = val
+                argmins = [cells]
+            elif val == best:
+                argmins.append(cells)
+        out[r] = (best, argmins)
+    return out
+
+
+def covering_minimum(dims, faces=(), cells=()):
+    """Least perimeter of a set holding every target cell and at least one
+    cell of every target face; returns (value, all minimizers)."""
+    universe = all_cells(dims)
+    best = None
+    argmins = []
+    for r in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, r):
+            A = frozenset(combo)
+            if not all(c in A for c in cells):
+                continue
+            if not all(any(s in A for s in face_sides(dims, f)) for f in faces):
+                continue
+            p = perimeter(dims, A)
+            if best is None or p < best:
+                best = p
+                argmins = [A]
+            elif p == best:
+                argmins.append(A)
+    return best, argmins
+
+
 def excess_maximizers(
     dims,
     face_weights,

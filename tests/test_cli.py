@@ -137,6 +137,37 @@ def test_ic_capacity(tmp_path, capsys):
     assert parse_rational(capsys.readouterr().out.strip()) == 10
 
 
+def test_ic_capacity_honours_the_cap(tmp_path, capsys, monkeypatch):
+    # a cap of 0 (flag) or 1 (file) leaves the frontier sweep too little
+    # budget: the branch and bound, which runs a min cut per node, gives 10 too
+    from perivar import ic
+
+    calls = []
+    real = ic.minimize
+    monkeypatch.setattr(ic, "minimize", lambda energy: calls.append(1) or real(energy))
+    monkeypatch.delenv("PERIVAR_EXHAUSTIVE_CAP", raising=False)
+    doc = {
+        "grid": {"dims": [4, 2]},
+        "problem": {
+            "kind": "capacity",
+            "faces": [{"axis": 1, "slot": 1, "at": [x]} for x in range(4)],
+        },
+    }
+    plain = write_problem(tmp_path, doc)
+    capped = write_problem(tmp_path, dict(doc, options={"exhaustive_cap": 1}), name="capped.json")
+    for i, (problem, flags, via_bb) in enumerate([
+        (plain, ["--cap", "0"], True),
+        (capped, [], True),
+        (plain, [], False),
+        (capped, ["--cap", "22"], False),
+    ]):
+        calls.clear()
+        args = ["ic", "capacity", "--problem", problem, "--out", str(tmp_path / f"o{i}")]
+        assert main(args + flags) == EXIT_OK
+        assert parse_rational(capsys.readouterr().out.strip()) == 10
+        assert bool(calls) == via_bb
+
+
 def test_experiment_command(tmp_path, capsys):
     outdir = tmp_path / "exp"
     code = main(

@@ -1,0 +1,207 @@
+"""The frontier sweep against enumeration: per-volume minima in every
+energy mode, covering constraints through ``capacity``, the tie rule, and
+the budget refusal."""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+import naive
+from conftest import as_raw
+from perivar import (
+    CellSet,
+    Dirichlet,
+    FullSpace,
+    GridDomain,
+    MeasureData,
+    Region,
+    Relative,
+    SignedPair,
+    assemble,
+    capacity,
+    closure_faces,
+    freeze,
+    hyperplane_measure,
+    perimeter,
+    restrict,
+)
+from perivar.frontier import FrontierBudgetExceeded, frontier_minimize
+from perivar.oracle import scan_functional_minimum
+
+F = Fraction
+DENS = (1, 2, 3, 4, 5, 6, 7)
+DIMS = [(12,), (7,), (3, 4), (4, 3), (2, 5), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+def _rand_measure(rng, d, share=0.4):
+    """Face and cell weights up to 16/den and 8/den, den in 1..7; faces
+    above 2 make the energy non-submodular."""
+    fw = {f: F(rng.randint(1, 16), rng.choice(DENS)) for f in d.faces() if rng.random() < share}
+    cw = {c: F(rng.randint(1, 8), rng.choice(DENS)) for c in d.cells() if rng.random() < share / 2}
+    return MeasureData(d, cell_weights=cw, face_weights=fw)
+
+
+def _raw(faces):
+    return [(f.axis, f.slot, f.at) for f in faces]
+
+
+def test_volume_minima_match_scan_and_naive(rng):
+    # the solve_volume energy, P(A) - mu(A+), over the whole grid or over a
+    # region whose outside is frozen out
+    for trial in range(16):
+        d = GridDomain(rng.choice(DIMS))
+        mu = _rand_measure(rng, d)
+        if trial % 2:
+            region = Region.of(d, [c for c in d.cells() if rng.random() < 0.75] or d.cells()[:1])
+            mu = restrict(mu, region.cell_set())
+            mode, perim = Dirichlet(a0=CellSet.empty(d), omega=region), region.closure_faces()
+        else:
+            mode, perim = FullSpace(), d.faces()
+        energy = assemble(SignedPair.of(d, minus=mu), mode)
+        free = energy.free_cells
+        scan = scan_functional_minimum(d, mu, frozenset(free))
+        mf, mc = as_raw(mu)
+        truth = naive.minima_by_volume(d.dims, free, (), {}, {}, mf, mc, _raw(perim))
+        for v in range(len(free) + 1):
+            sol, val = frontier_minimize(energy, volume=v, cap=22)
+            best, argmins = truth[v]
+            assert val == best
+            assert sol.cells in argmins
+            if v:
+                assert val == -scan.best_at_volume[v][0]
+
+
+@pytest.mark.parametrize("weight", [F(1), F(3, 4), F(5, 3)])
+def test_minima_in_every_mode_with_pins(rng, weight):
+    # signed pairs with heavy faces, every mode, frozen cells from the mode
+    # (a Dirichlet datum freezes cells in) and from freeze; with and
+    # without a volume
+    for trial in range(15):
+        d = GridDomain(rng.choice(DIMS))
+        omega = Region.of(d, [c for c in d.cells() if rng.random() < 0.7] or d.cells()[:2])
+        plus, minus = _rand_measure(rng, d, 0.2), _rand_measure(rng, d, 0.3)
+        kind = trial % 3
+        if kind == 0:
+            mode, perim = FullSpace(), None
+        elif kind == 1:
+            mode, perim = Relative(omega=omega), _raw(omega.interior_faces())
+        else:
+            a0 = CellSet.of(d, [c for c in d.cells() if rng.random() < 0.5])
+            plus, minus = restrict(plus, omega.cell_set()), restrict(minus, omega.cell_set())
+            mode, perim = Dirichlet(a0=a0, omega=omega), _raw(omega.closure_faces())
+        pair = SignedPair(plus, minus)
+        energy = assemble(pair, mode, weight)
+        pins = {c: rng.random() < 0.5 for c in energy.free_cells if rng.random() < 0.2}
+        energy = freeze(energy, pins)
+        pf, pc = as_raw(plus)
+        mf, mc = as_raw(minus)
+        truth = naive.minima_by_volume(
+            d.dims, energy.free_cells, energy.frozen_ones(), pf, pc, mf, mc, perim, weight
+        )
+        sol, val = frontier_minimize(energy, cap=22)
+        assert val == min(best for best, _ in truth.values() if best is not None)
+        assert any(sol.cells in argmins for best, argmins in truth.values() if best == val)
+        for v, (best, argmins) in truth.items():
+            sol, val = frontier_minimize(energy, volume=v, cap=22)
+            assert val == best
+            assert sol.cells in argmins
+
+
+def test_capacity_matches_enumeration_and_branch_and_bound(rng):
+    # boundary faces included; the branch and bound runs when the cap
+    # leaves no budget for the sweep
+    for trial in range(30):
+        d = GridDomain(rng.choice([(3, 3), (4, 2), (2, 2, 2)]))
+        faces = rng.sample(list(d.faces()), k=rng.randint(1, 4))
+        cells = rng.sample(list(d.cells()), k=rng.randint(0, 1))
+        value, witness = capacity(d, faces=faces, cells=cells)
+        best, argmins = naive.covering_minimum(d.dims, _raw(faces), cells)
+        assert value == best
+        assert witness.cells in argmins
+        assert set(faces) <= closure_faces(witness)
+        assert perimeter(witness) == value
+        bb_value, bb_witness = capacity(d, faces=faces, cells=cells, exhaustive_cap=0)
+        assert bb_value == value
+        assert bb_witness.cells in argmins
+
+
+def _sweep_key(free):
+    """The documented tie order: position weights 2**i in the sweep."""
+    d = len(free[0])
+    lo = [min(c[a] for c in free) for a in range(d)]
+    ext = [max(c[a] for c in free) - lo[a] + 1 for a in range(d)]
+    outer = max(range(d), key=lambda a: (ext[a], -a))
+    order = [outer] + [a for a in range(d) if a != outer]
+
+    def key(cells):
+        total = 0
+        for c in cells:
+            pos = 0
+            for a in order:
+                pos = pos * ext[a] + c[a] - lo[a]
+            total += 1 << pos
+        return total
+
+    return key
+
+
+def test_ties_follow_the_documented_order_and_repeat(rng):
+    # zero or tiny measures leave many minimizers per volume
+    for dims in [(2, 4), (3, 3), (2, 2, 2), (2, 1, 3), (6,)]:
+        d = GridDomain(dims)
+        for trial in range(3):
+            mu = MeasureData(d, face_weights={
+                f: F(1) for f in d.faces() if rng.random() < 0.2 * trial
+            })
+            energy = assemble(SignedPair.of(d, minus=mu), FullSpace())
+            mf, mc = as_raw(mu)
+            truth = naive.minima_by_volume(d.dims, d.cells(), (), {}, {}, mf, mc)
+            key = _sweep_key(energy.free_cells)
+            for v, (best, argmins) in truth.items():
+                sol, val = frontier_minimize(energy, volume=v, cap=22)
+                assert sol.cells == min(argmins, key=key)
+                assert frontier_minimize(energy, volume=v, cap=22)[0].cells == sol.cells
+
+
+def test_wide_domain_is_refused_before_allocating():
+    d = GridDomain((60, 60))
+    energy = assemble(SignedPair.of(d, minus=hyperplane_measure(d, 1, 30, F(3, 2))), FullSpace())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrontierBudgetExceeded) as info:
+            frontier_minimize(energy, volume=1200, cap=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert info.value.width == 60 and info.value.cap == 22
+
+
+def test_budget_counts_positions_states_and_volumes():
+    # 3x4: 12 positions, W = 3; 12 * 8 * (v + 1) against 2**cap
+    d = GridDomain((3, 4))
+    energy = assemble(SignedPair.zero(d), FullSpace())
+    frontier_minimize(energy, volume=4, cap=9)  # 480 <= 512
+    with pytest.raises(FrontierBudgetExceeded):
+        frontier_minimize(energy, volume=5, cap=9)  # 576 > 512
+    frontier_minimize(energy, cap=7)  # 96 <= 128
+    with pytest.raises(FrontierBudgetExceeded):
+        frontier_minimize(energy, cap=6)
+    # a chain of 8: W = 1, so exactly 2**cap entries still run
+    chain = assemble(SignedPair.zero(GridDomain((8,))), FullSpace())
+    frontier_minimize(chain, volume=1, cap=5)  # 8 * 2 * 2 = 32
+    frontier_minimize(chain, cap=4)  # 8 * 2 = 16
+    with pytest.raises(FrontierBudgetExceeded):
+        frontier_minimize(chain, cap=3)
+
+
+def test_covering_pairs_must_be_free_face_neighbours():
+    d = GridDomain((3, 3))
+    energy = freeze(assemble(SignedPair.zero(d), FullSpace()), {(1, 1): True})
+    with pytest.raises(ValueError, match="face neighbours"):
+        frontier_minimize(energy, covering=[((0, 0), (0, 2))], cap=22)
+    with pytest.raises(ValueError, match="not free"):
+        frontier_minimize(energy, covering=[((0, 1), (1, 1))], cap=22)
+    sol, val = frontier_minimize(energy, covering=[((0, 0), (0, 1))], cap=22)
+    assert val == 6 and (1, 1) in sol and ((0, 0) in sol or (0, 1) in sol)

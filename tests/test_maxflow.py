@@ -57,7 +57,7 @@ def test_max_flow_equals_min_cut_enumerated(rng):
                 if u != v and rng.random() < 0.4:
                     net.add_arc(u, v, rng.randint(0, 6))
         caps = net.snapshot()
-        result = max_flow(net, caps)
+        result = max_flow(net)
         # enumerate all s-t cuts
         best = min(
             cut_capacity(

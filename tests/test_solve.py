@@ -139,6 +139,29 @@ def test_solve_volume_envelope_path():
             assert result.exact
 
 
+@pytest.mark.parametrize("n, value", [(7, F(9)), (8, F(19, 2))])
+def test_solve_volume_exact_above_the_enumeration_cap(n, value):
+    # the weight-3/2 line at v = n^2/3: its perimeter-volume profile is
+    # concave, so the Lagrangian envelope certifies no volume here (it
+    # returned 19/2 and 10); the frontier sweep is exact
+    d = GridDomain((n, n))
+    mu = hyperplane_measure(d, 1, n // 2, F(3, 2))
+    v = n * n // 3
+    result = solve_volume(v, mu)
+    assert result.exact
+    assert result.value == value
+    assert result.minimizer.volume == v
+    assert result.value == evaluate(assemble(SignedPair.of(d, minus=mu), FullSpace()), result.minimizer)
+
+
+def test_solve_volume_beyond_the_budget_falls_back_to_the_envelope():
+    d = GridDomain((7, 7))
+    mu = hyperplane_measure(d, 1, 3, F(3, 2))
+    result = solve_volume(16, mu, exhaustive_cap=2)
+    assert result.exactness == "envelope-bound"
+    assert result.certificate["lower_bound"] < 9 < result.value
+
+
 def test_solve_volume_envelope_agrees_with_truth_when_checkable():
     d = GridDomain((4, 4))
     mu = hyperplane_measure(d, 1, 2, F(2))
