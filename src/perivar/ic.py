@@ -41,7 +41,7 @@ from .maxflow import (
     minimize,
 )
 from .measure import MeasureData, are_mutually_singular
-from .oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded, scan_excess
+from .oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded, _scan, scan_excess
 
 ZERO = Fraction(0)
 
@@ -323,7 +323,10 @@ def strong_excess(
         cap = resolve_cap(exhaustive_cap)
         if len(admissible) > cap:
             raise ExhaustiveCapacityExceeded(len(admissible), cap)
-        scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
+        if report is None:  # nothing compiled yet
+            scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
+        else:
+            scan = _scan(domain, energy)
         return ExcessResult(scan.best_value, scan.best_set, "exhaustive")
 
     net, node_of, base = _cut_network(energy)

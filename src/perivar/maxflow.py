@@ -1,12 +1,18 @@
 """Exact integer max-flow/min-cut and the graph-cut energy minimizer.
 
-The solver is Dinic's algorithm on arbitrary-precision integers: no
-capacity is ever rounded, so thresholds like theta = 1 or w = 2 stay
-exact.  ``augment`` runs without recursion and pushes from any node to
-any set of flagged sink nodes, keeping the flow already present.  The
-canonical minimum cut is the set of nodes reachable from the source in
-the residual graph (the unique inclusion-minimal one), which makes every
-result deterministic and reproducible.
+The solver is Boykov and Kolmogorov's search-tree max-flow on
+arbitrary-precision integers: no capacity is ever rounded, so thresholds
+like theta = 1 or w = 2 stay exact.  ``augment`` pushes from any node to
+any set of flagged sink nodes, keeping the flow already present.  Its
+source tree, and for a full solve a sink tree, persist across
+augmentations; orphaned subtrees are re-adopted from a queue, so no flow
+code recurses.  The trees live in per-network arrays, sized once and
+reset through the nodes each call touched, so a call that stays local
+(one probe of the excess sweep) costs what it touches, not the network.
+The maximum flow found is one of many; the canonical minimum cut is the
+set of nodes reachable from the source in the residual graph (the unique
+inclusion-minimal one), the same for every maximum flow, which makes
+every cut deterministic and reproducible.
 
 ``minimize`` reduces a submodular ``BinaryEnergy`` to a min cut over the
 energy's integers (all over its one denominator), reads the value off the
@@ -57,6 +63,8 @@ class FlowNetwork:
         self.adj: List[List[int]] = [[], []]
         self.to: List[int] = []
         self.cap: List[int] = []
+        # augment's per-node scratch, filled on first use (_search_arrays)
+        self._search: tuple = ([], [], [], [], [], [])
 
     @property
     def source(self) -> int:
@@ -86,91 +94,239 @@ class FlowNetwork:
         self.adj[v].append(i + 1)
         return i
 
+    def _search_arrays(self) -> tuple:
+        """``augment``'s per-node arrays, regrown to the node count.
+
+        Side (0 free, 1 source tree, 2 sink tree), parent arc, queued side,
+        timestamp, distance to the root, and the flags of the default sink
+        set.  Between calls every side and queued side is 0.
+        """
+        arrays = self._search
+        missing = self.n_nodes - len(arrays[0])
+        if missing:
+            for array in arrays:
+                array.extend([0] * missing)
+            arrays[5][self.sink] = 1
+        return arrays
+
     def snapshot(self) -> list:
         return list(self.cap)
 
 
 @dataclass(frozen=True)
 class CutResult:
-    """Max-flow value, canonical (inclusion-minimal) source side, arc flows."""
+    """Max-flow value, canonical (inclusion-minimal) source side, arc flows.
+
+    ``flows`` is a maximum flow, the one the engine found; other maximum
+    flows exist in general, while ``value`` and ``source_side`` are unique.
+    """
 
     value: int
     source_side: frozenset
     flows: tuple  # net flow per arc index, aligned with the network's arcs
 
 
+_S, _T = 1, 2  # search-tree sides; 0 is a free node
+_TERMINAL = -1  # parent of a tree's root
+_ORPHAN = -2  # parent of a node whose parent arc an augmentation saturated
+_FAR = 1 << 62  # distance of a node that hangs below an orphan
+
+
 def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list] = None) -> int:
     """Push flow from ``source`` until no residual path reaches a sink node.
 
-    ``sinks`` holds one bool per node; a flagged node absorbs any amount of
+    ``sinks`` holds one flag per node; a flagged node absorbs any amount of
     flow.  By default flow runs from the network's source to its sink.  Flow
     already in the network stays, so repeated calls resolve incrementally.
-    Returns the flow added.  Dinic without recursion: BFS levels up to the
-    first level holding a sink, then level paths walked one at a time, each
-    pushing its bottleneck and retreating to its first saturated arc.
+    Returns the flow added.
+
+    Boykov-Kolmogorov search trees, kept across augmentations: a source
+    tree grows from ``source`` over residual arcs until it meets a sink.  A
+    sink tree grows from the network's sink over reverse residual arcs only
+    when the flow runs from the network's source; a probe from an inner
+    node (the excess sweep) grows its source tree alone, since expanding
+    the sink, a hub next to most cells, would cost a pass over the cells
+    per probe.  Every other flagged node is a passive root that the source
+    tree meets.  An augmentation orphans each node whose parent arc it
+    saturates; an orphan is adopted by the tree neighbour nearest its root
+    (distances carry timestamps, so each path is verified once per
+    augmentation) or freed, its children orphaned in turn, with a queue in
+    place of recursion.  The call ends when the source tree has no active
+    node left.  The trees live in the network's scratch arrays, which the
+    call resets through the nodes it touched.
     """
-    adj, to, cap, n = net.adj, net.to, net.cap, net.n_nodes
+    tree, parent, active, ts, dist, sink_only = net._search_arrays()
+    adj, to, cap = net.adj, net.to, net.cap
     s = net.source if source is None else source
     if sinks is None:
-        sinks = [False] * n
-        sinks[net.sink] = True
+        sinks = sink_only
     if sinks[s]:
         return 0
-    added = 0
-    while True:
-        level = {s: 0}  # sparse: a sweep's augments stay local
-        frontier = [s]
-        reached = False
-        while frontier and not reached:
-            nxt = []
-            for u in frontier:
-                up = level[u] + 1
-                for i in adj[u]:
-                    if cap[i] and to[i] not in level:
-                        v = to[i]
-                        level[v] = up
-                        nxt.append(v)
-                        reached = reached or sinks[v]
-            frontier = nxt
-        if not reached:
-            return added
-        it = {}  # next arc to try, per node
-        path: List[int] = []  # arcs from s to u, one level up each
-        u = s
-        while True:
-            if sinks[u]:
-                residual = [cap[i] for i in path]
-                push = min(residual)
-                for i in path:
-                    cap[i] -= push
-                    cap[i ^ 1] += push
-                added += push
-                del path[residual.index(push):]  # retreat to the first saturated arc
-                u = to[path[-1]] if path else s
+    queues = (None, deque([s]), deque())  # active nodes, indexed by side
+    s_queue, t_queue = queues[_S], queues[_T]
+    tree[s], parent[s], active[s], ts[s], dist[s] = _S, _TERMINAL, _S, 0, 1
+    touched = [s]
+    t = net.sink
+    if s == net.source and sinks[t]:
+        tree[t], parent[t], active[t], ts[t], dist[t] = _T, _TERMINAL, _T, 0, 1
+        touched.append(t)
+        t_queue.append(t)
+    orphans: deque = deque()
+    time = added = 0
+    try:
+        while s_queue:
+            i = s_queue[0]
+            if tree[i] != _S:  # freed since it was queued
+                s_queue.popleft()
+                if active[i] == _S:
+                    active[i] = 0
                 continue
-            arcs, k, up = adj[u], it.get(u, 0), level[u] + 1
-            end = len(arcs)
-            while k < end:
-                i = arcs[k]
-                if cap[i] and level.get(to[i]) == up:
-                    break
-                k += 1
-            it[u] = k
-            if k < end:
-                path.append(i)
-                u = to[i]
-            elif path:
-                level[u] = -1  # dead end for the rest of the phase
-                u = to[path.pop() ^ 1]
+            bridge = -1  # an arc from the source tree to the sink tree or a flagged node
+            for a in adj[i]:
+                if cap[a]:
+                    j = to[a]
+                    tj = tree[j]
+                    if tj == _S:
+                        if ts[j] <= ts[i] and dist[j] > dist[i]:
+                            parent[j], ts[j], dist[j] = a ^ 1, ts[i], dist[i] + 1
+                    elif tj or sinks[j]:
+                        bridge = a
+                        break
+                    else:
+                        tree[j], parent[j], ts[j], dist[j] = _S, a ^ 1, ts[i], dist[i] + 1
+                        touched.append(j)
+                        if active[j] != _S:
+                            active[j] = _S
+                            s_queue.append(j)
             else:
-                break
+                s_queue.popleft()
+                active[i] = 0
+
+            if bridge < 0 and t_queue:
+                i = t_queue[0]
+                if tree[i] != _T:
+                    t_queue.popleft()
+                    if active[i] == _T:
+                        active[i] = 0
+                else:
+                    for a in adj[i]:
+                        b = a ^ 1
+                        if cap[b]:
+                            j = to[a]
+                            tj = tree[j]
+                            if tj == _T:
+                                if ts[j] <= ts[i] and dist[j] > dist[i]:
+                                    parent[j], ts[j], dist[j] = b, ts[i], dist[i] + 1
+                            elif tj:
+                                bridge = b
+                                break
+                            else:
+                                tree[j], parent[j], ts[j], dist[j] = _T, b, ts[i], dist[i] + 1
+                                touched.append(j)
+                                if active[j] != _T:
+                                    active[j] = _T
+                                    t_queue.append(j)
+                    else:
+                        t_queue.popleft()
+                        active[i] = 0
+            if bridge < 0:
+                continue
+
+            # push the bottleneck along source tree, bridge and sink tree;
+            # a parent arc is v -> parent, so the source side flows on its reverse
+            time += 1
+            u, v = to[bridge ^ 1], to[bridge]
+            push = cap[bridge]
+            x = u
+            while x != s:
+                p = parent[x]
+                if cap[p ^ 1] < push:
+                    push = cap[p ^ 1]
+                x = to[p]
+            x = v
+            while not sinks[x]:
+                p = parent[x]
+                if cap[p] < push:
+                    push = cap[p]
+                x = to[p]
+            cap[bridge] -= push
+            cap[bridge ^ 1] += push
+            x = u
+            while x != s:
+                p = parent[x]
+                cap[p] += push
+                cap[p ^ 1] -= push
+                if not cap[p ^ 1]:
+                    parent[x] = _ORPHAN
+                    orphans.append(x)
+                x = to[p]
+            x = v
+            while not sinks[x]:
+                p = parent[x]
+                cap[p ^ 1] += push
+                cap[p] -= push
+                if not cap[p]:
+                    parent[x] = _ORPHAN
+                    orphans.append(x)
+                x = to[p]
+            added += push
+
+            # adopt the orphans: an arc a = i -> j can be i's parent arc when
+            # the flow direction of i's side, cap[a ^ flip], is residual
+            while orphans:
+                i = orphans.popleft()
+                side = tree[i]
+                flip = 1 if side == _S else 0
+                best, best_d = -1, _FAR
+                for a in adj[i]:
+                    if cap[a ^ flip] and tree[to[a]] == side:
+                        j = k = to[a]
+                        d = 0
+                        while ts[k] != time:
+                            p = parent[k]
+                            d += 1
+                            if p == _TERMINAL:
+                                ts[k], dist[k] = time, 1
+                                break
+                            if p == _ORPHAN:
+                                d = _FAR
+                                break
+                            k = to[p]
+                        else:
+                            d += dist[k]
+                        if d < _FAR:
+                            if d < best_d:
+                                best, best_d = a, d
+                            while ts[j] != time:
+                                ts[j], dist[j] = time, d
+                                d -= 1
+                                j = to[parent[j]]
+                if best >= 0:
+                    parent[i], ts[i], dist[i] = best, time, best_d + 1
+                    continue
+                tree[i] = 0
+                for a in adj[i]:
+                    j = to[a]
+                    if tree[j] == side:
+                        if cap[a ^ flip] and active[j] != side:
+                            active[j] = side
+                            queues[side].append(j)
+                        p = parent[j]
+                        if p >= 0 and to[p] == i:
+                            parent[j] = _ORPHAN
+                            orphans.append(j)
+        return added
+    finally:
+        for v in touched:
+            tree[v] = active[v] = 0
 
 
 def max_flow(net: FlowNetwork) -> CutResult:
-    """Maximum flow with the canonical minimal min cut.
+    """A maximum flow with the canonical minimal min cut.
 
     The current capacities are taken as pristine: the flows and the value
-    count only what this call adds.
+    count only what this call adds.  The flows are whichever maximum flow
+    ``augment`` finds, not a canonical one; the value and the cut are.
     """
     base = list(net.cap)
     augment(net)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .energy import CLOSURE, assemble_excess, flip_links
+from .energy import CLOSURE, BinaryEnergy, assemble_excess, flip_links
 from .grid import CellSet, Face, GridDomain
 from .measure import MeasureData
 
@@ -69,13 +69,21 @@ def scan_excess(
     the set reached first in Gray order (step g visits the bits of
     g ^ (g >> 1)), both overall and at each volume.
     """
-    cells = sorted(admissible)
-    n = len(cells)
-    if n == 0:
+    if not admissible:
         raise ValueError("no admissible cells to scan")
-    energy = assemble_excess(
-        domain, cells, charged_faces, mass_faces, cell_masses, cell_penalty
+    return _scan(
+        domain,
+        assemble_excess(
+            domain, admissible, charged_faces, mass_faces, cell_masses, cell_penalty
+        ),
     )
+
+
+def _scan(domain: GridDomain, energy: BinaryEnergy) -> ScanResult:
+    """``scan_excess`` over an excess energy already compiled by
+    ``assemble_excess``; its free cells are the pool."""
+    cells = energy.free_cells  # sorted
+    n = len(cells)
     gain, links = flip_links(energy)
 
     # Per cell: a mask of the cell and its neighbours, and the change of the

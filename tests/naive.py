@@ -3,6 +3,8 @@
 Everything here works on raw tuples (dims, cells, (axis, slot, at) faces)
 and deliberately avoids the package's grid/measure/energy machinery, so
 test comparisons are genuinely two independent routes to the same number.
+The one exception, ``dinic_augment``, runs on a ``FlowNetwork``'s arc
+arrays, since what it checks is the max-flow engine itself.
 """
 
 import itertools
@@ -272,3 +274,74 @@ def gray_scan(
         if per_volume[len(A)] is None or val > per_volume[len(A)][0]:
             per_volume[len(A)] = (val, A)
     return best[0], best[1], per_volume
+
+
+def dinic_augment(net, source=None, sinks=None):
+    """Push flow from ``source`` until no residual path reaches a sink node.
+
+    ``sinks`` holds one bool per node; a flagged node absorbs any amount of
+    flow.  By default flow runs from the network's source to its sink.  Flow
+    already in the network stays, so repeated calls resolve incrementally.
+    Returns the flow added.  Dinic without recursion: BFS levels up to the
+    first level holding a sink, then level paths walked one at a time, each
+    pushing its bottleneck and retreating to its first saturated arc.
+
+    The package's engine before its search-tree ``augment``, kept as the
+    reference it is compared against.  It reads only the network's public
+    fields (``adj``, ``to``, ``cap``, ``n_nodes``, ``source``, ``sink``).
+    """
+    adj, to, cap, n = net.adj, net.to, net.cap, net.n_nodes
+    s = net.source if source is None else source
+    if sinks is None:
+        sinks = [False] * n
+        sinks[net.sink] = True
+    if sinks[s]:
+        return 0
+    added = 0
+    while True:
+        level = {s: 0}  # sparse: a sweep's augments stay local
+        frontier = [s]
+        reached = False
+        while frontier and not reached:
+            nxt = []
+            for u in frontier:
+                up = level[u] + 1
+                for i in adj[u]:
+                    if cap[i] and to[i] not in level:
+                        v = to[i]
+                        level[v] = up
+                        nxt.append(v)
+                        reached = reached or sinks[v]
+            frontier = nxt
+        if not reached:
+            return added
+        it = {}  # next arc to try, per node
+        path = []  # arcs from s to u, one level up each
+        u = s
+        while True:
+            if sinks[u]:
+                residual = [cap[i] for i in path]
+                push = min(residual)
+                for i in path:
+                    cap[i] -= push
+                    cap[i ^ 1] += push
+                added += push
+                del path[residual.index(push):]  # retreat to the first saturated arc
+                u = to[path[-1]] if path else s
+                continue
+            arcs, k, up = adj[u], it.get(u, 0), level[u] + 1
+            end = len(arcs)
+            while k < end:
+                i = arcs[k]
+                if cap[i] and level.get(to[i]) == up:
+                    break
+                k += 1
+            it[u] = k
+            if k < end:
+                path.append(i)
+                u = to[i]
+            elif path:
+                level[u] = -1  # dead end for the rest of the phase
+                u = to[path.pop() ^ 1]
+            else:
+                break

@@ -1,4 +1,4 @@
-"""Static checks on the package source (no linter is a dependency)."""
+"""Checks on the package source and on what the benchmark relies on (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -6,7 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from perivar import oracle
+import perivar
+from perivar import GridDomain, hyperplane_measure, oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perivar"
 
@@ -44,14 +45,19 @@ def test_no_unused_module_imports():
     assert not found, "imported but never used: " + ", ".join(found)
 
 
-def test_benchmark_bindings_resolve():
-    # the benchmark's tracer rebinds these by name and reads scan_excess's
-    # second argument as the admissible pool
+def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", SRC.parent.parent / "perfbench" / "tracer.py"
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_bindings_resolve():
+    # the benchmark's tracer rebinds these by name and reads scan_excess's
+    # second argument as the admissible pool
+    tracer = _load_tracer()
     missing = [
         f"{module}.{func}"
         for module, func in tracer.TRACED
@@ -60,3 +66,22 @@ def test_benchmark_bindings_resolve():
     assert not missing, "traced functions missing: " + ", ".join(missing)
     params = list(inspect.signature(oracle.scan_excess).parameters)
     assert params[1] == "admissible"
+
+
+def test_benchmark_forced_probe_count():
+    # the benchmark's pinned counter: on a 10x10 weight-2 line the sweep
+    # takes its first flow through max_flow, then makes one augment call
+    # per admissible cell, each seen by the tracer as a forced probe
+    tracer = _load_tracer().Tracer()
+    mu = hyperplane_measure(GridDomain((10, 10)), 1, 5, 2)
+    tracer.install()
+    try:
+        # looked up in the package, where install rebinds it
+        value = perivar.strong_excess(mu, 1, exhaustive_cap=22).value
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert value == -2
+    assert metrics["ic.forced_probes"][0] == 100
+    assert metrics["maxflow.augment.calls"][0] == 101
+    assert metrics["maxflow.max_flow.calls"][0] == 1

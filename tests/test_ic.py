@@ -27,7 +27,7 @@ from perivar import (
     strong_excess,
     sum_measures,
 )
-from perivar import ic
+from perivar import ic, oracle
 from perivar.energy import assemble_excess, check_submodular, evaluate
 from perivar.ic import resolve_cap
 from perivar.maxflow import FlowNetwork
@@ -221,6 +221,24 @@ def test_exhaustive_method_builds_no_network(monkeypatch):
     res = strong_excess(mu, 1, method="min-cut")
     assert res.method == "min-cut" and res.value == 0
     assert len(builds) == 1
+
+
+def test_automatic_route_compiles_the_excess_once(monkeypatch):
+    # the submodularity test and the exhaustive scan read one energy
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble_excess(*args, **kwargs)
+
+    for module in (ic, oracle):
+        monkeypatch.setattr(module, "assemble_excess", counting)
+    mu = hyperplane_measure(GridDomain((3, 3)), 1, 1, F(9, 4))
+    res = strong_excess(mu, 1)
+    assert res.method == "exhaustive"
+    assert len(calls) == 1
+    fw, cw = as_raw(mu)
+    assert res.value == naive.max_excess((3, 3), fw, cw, F(1))[0]
 
 
 def test_profile_above_cap_rejects_non_reducible():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -80,6 +82,120 @@ def test_augment_long_path_without_recursion():
     net.add_arc(u, net.sink, 1)
     assert augment(net) == 1
     assert len(_residual_reachable(net)) == net.n_nodes - 1
+
+
+def _grid_arcs(rng, dims):
+    """(node count, arcs (u, v, cap, rev_cap)) of a random grid-shaped network.
+
+    One node per cell, joined to its grid neighbours in a random direction,
+    some arcs with a reverse capacity; source and sink are hubs joined to
+    most cells.  Capacities are rationals with big numerators over
+    denominators 1-7, about a tenth of them zero, cleared to integers.
+    """
+    cells = list(itertools.product(*(range(n) for n in dims)))
+    node = {c: 2 + k for k, c in enumerate(cells)}
+
+    def weight():
+        return F(0) if rng.random() < 0.1 else F(rng.randint(1, 10**12), rng.randint(1, 7))
+
+    raw = []
+    for c in cells:
+        if rng.random() < 0.8:
+            raw.append((0, node[c], weight(), F(0)))
+        if rng.random() < 0.8:
+            raw.append((node[c], 1, weight(), F(0)))
+        for axis, n in enumerate(dims):
+            if c[axis] + 1 < n:
+                u, v = node[c], node[c[:axis] + (c[axis] + 1,) + c[axis + 1:]]
+                if rng.random() < 0.5:
+                    u, v = v, u
+                raw.append((u, v, weight(), weight() if rng.random() < 0.3 else F(0)))
+    rng.shuffle(raw)
+    den = math.lcm(*(w.denominator for arc in raw for w in arc[2:]))
+    return 2 + len(cells), [(u, v, int(c * den), int(r * den)) for u, v, c, r in raw]
+
+
+def _network(n_nodes, arcs):
+    net = FlowNetwork()
+    while net.n_nodes < n_nodes:
+        net.add_node()
+    for arc in arcs:
+        net.add_arc(*arc)
+    return net
+
+
+GRID_DIMS = ((4, 5), (6, 6), (9, 2), (3, 3, 3), (2, 4, 3))
+
+
+def test_augment_matches_dinic_on_grid_networks(rng):
+    for dims in GRID_DIMS:
+        for _ in range(4):
+            n, arcs = _grid_arcs(rng, dims)
+            net, ref = _network(n, arcs), _network(n, arcs)
+            assert augment(net) == naive.dinic_augment(ref)
+            assert _residual_reachable(net) == _residual_reachable(ref)
+
+            # the excess sweep's probes: push from each cell in turn to the
+            # sink and the cells before it, then flag it; the flow each
+            # probe adds does not depend on which maximum flows came before
+            sinks = [v == net.sink for v in range(n)]
+            cells = list(range(2, n))
+            rng.shuffle(cells)
+            for v in cells:
+                assert augment(net, v, sinks) == naive.dinic_augment(ref, v, sinks)
+                sinks[v] = True
+
+
+def test_augment_scratch_state_is_reset_and_regrown(rng):
+    # one network serves calls from varying sources to varying flag sets,
+    # with nodes added between calls; each call acts exactly as on a fresh
+    # network with the same residual capacities
+    n, arcs = _grid_arcs(rng, (4, 4))
+    net = _network(n, arcs)
+    for step in range(30):
+        source = sinks = None
+        if step % 6 == 5:
+            source = net.add_node()
+            n += 1
+            for v in rng.sample(range(n - 1), 3):
+                cap, rev = rng.randint(0, 9), rng.randint(0, 9)
+                arcs.append((v, source, cap, rev) if rng.random() < 0.5 else (source, v, cap, rev))
+                net.add_arc(*arcs[-1])
+        elif step % 3:
+            source = rng.randrange(n)
+        if source is not None or rng.random() < 0.5:
+            others = [v for v in range(n) if v != source]
+            flagged = set(rng.sample(others, rng.randint(1, 3)))
+            sinks = [v in flagged for v in range(n)]
+        fresh = _network(n, arcs)
+        fresh.cap[:] = net.cap
+        assert augment(net, source, sinks) == augment(fresh, source, sinks)
+        assert net.cap == fresh.cap
+        tree, _, active = net._search[:3]  # as the call left them
+        assert len(tree) == n and not any(tree) and not any(active)
+
+
+def test_augment_allocates_for_the_nodes_it_touches_only():
+    # the scratch arrays are sized once per network: a later call that
+    # touches a handful of nodes allocates no per-node array
+    net = FlowNetwork()
+    u = net.source
+    for k in range(100_000):
+        v = net.add_node()
+        net.add_arc(u, v, 2 - (k == 0))
+        u = v
+    net.add_arc(u, net.sink, 2)
+    assert augment(net) == 1
+    sinks = [False] * net.n_nodes
+    sinks[net.sink] = sinks[u - 2] = True
+    tracemalloc.start()
+    try:
+        assert augment(net) == 0  # the source arc is saturated
+        assert augment(net, u, sinks) == 2  # to the sink, and back to u - 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def _cut_value(net, side, caps):
