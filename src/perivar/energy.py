@@ -8,6 +8,14 @@ denominator ``den`` that ``assemble`` fixes up front.  ``evaluate``
 reproduces the functional exactly; ``check_submodular`` reports the
 per-face margins ``2*p - w_plus - w_minus`` that decide min-cut solvability.
 
+The energy is indexed, not keyed by cells and faces.  Cell c is number
+``sum(c[a] * stride[a])``, stride[a] the product of the extents after
+axis a: the row-major order, which is the lexicographic order of
+``GridDomain.cells()``.  A face between cells i and i + stride[a] is the
+pair (i, a).  ``assemble`` fills the arrays by this stride arithmetic,
+from the mode's cell mask and from each measure face's axis, slot and
+transverse coordinates; no ``Face`` is built on the way.
+
 ``assemble_excess`` compiles the isoperimetric excess
 ``mass(rep A) - sum of charges on crossed faces - penalty |A|`` into the
 same form, negated, so the min cut, the Gray-code scan and single-cell
@@ -18,13 +26,15 @@ twice their charge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Tuple
+from itertools import compress
+from operator import add, mul
+from typing import Mapping, Optional
 
 from .grid import (
-    Cell,
     CellSet,
     Face,
     GridDomain,
@@ -37,6 +47,9 @@ from .measure import SignedPair
 # test set holds at least one incident cell, INTERIOR when it holds both.
 CLOSURE = 0
 INTERIOR = 1
+
+# A cell's state in an energy: 0 and 1 are frozen out and in.
+FREE = 2
 
 
 @dataclass(frozen=True)
@@ -70,29 +83,6 @@ class MeasureSupportError(ValueError):
     """Measure support violates the Dirichlet support precondition."""
 
 
-class FaceTerm(NamedTuple):
-    """2x2 table over the states of the two free cells of one face.
-
-    ``table[i][j]`` is the cost with the lower cell at state i and the
-    upper cell at state j.  (w_plus, w_minus, p) record the measure and
-    perimeter weights the table was built from.  Table entries and weights
-    are integers over the energy's ``den``.
-    """
-
-    lower: Cell
-    upper: Cell
-    table: Tuple  # ((e00, e01), (e10, e11))
-    w_plus: int
-    w_minus: int
-    p: int
-
-    @property
-    def margin(self) -> int:
-        """Submodularity margin e01 + e10 - e00 - e11 = 2p - w_plus - w_minus."""
-        (e00, e01), (e10, e11) = self.table
-        return e01 + e10 - e00 - e11
-
-
 @dataclass(frozen=True)
 class Violation:
     face: Face
@@ -111,20 +101,96 @@ class SubmodularityReport:
         return self.ok
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(dims: tuple):
+    """(strides, per axis: the strides of the other axes, which number a
+    face's ``at``; the lower cells of its two-sided faces in face order;
+    the cells on its two grid-boundary faces)."""
+    d = len(dims)
+    strides = [1] * d
+    for a in reversed(range(d - 1)):
+        strides[a] = strides[a + 1] * dims[a + 1]
+    n = strides[0] * dims[0]
+    lows, ends = [], []
+    for a, (st, m) in enumerate(zip(strides, dims)):
+        # faces run by slot, then by transverse coordinates, which ascend
+        # with the cell number of the slot-0 cell
+        first = [i for i in range(n) if i // st % m == 0]
+        lows.append(tuple(s * st + t for s in range(m - 1) for t in first))
+        ends.append(tuple(first) + tuple((m - 1) * st + t for t in first))
+    across = tuple(tuple(st for b, st in enumerate(strides) if b != a) for a in range(d))
+    return tuple(strides), across, tuple(lows), tuple(ends)
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryEnergy:
-    """Integer unary + pairwise energy equal to den * the functional, with frozen cells."""
+    """Integer unary + pairwise energy equal to den * the functional, with frozen cells.
+
+    Arrays run over cell numbers (``index``).  ``state[i]`` is 0 or 1 for
+    a frozen cell and ``FREE`` for a free one; ``u0[i]`` and ``u1[i]`` are
+    its costs out and in, zero when it is frozen.  Face term k joins the
+    free cells ``lo[k]`` and ``hi[k] = lo[k] + strides[axis[k]]``; its
+    table is ``e00[k] .. e11[k]``, the cost with the lower cell at the
+    first state and the upper at the second, built from the measure
+    weights ``w_plus[k]``, ``w_minus[k]`` and the perimeter weight
+    ``p[k]``.  Every entry is an integer over ``den``.
+
+    The arrays are lists that nothing changes once the energy is built,
+    so energies share them.  They are not tuples built from iterators:
+    CPython keeps up to 2000 freed tuples of each length under 20 for
+    reuse, and a tuple grown from an iterator never takes one, so small
+    energies would pile freed tuples up, megabytes over a long run.
+    """
 
     domain: GridDomain
-    free_cells: tuple
-    frozen: Mapping  # Cell -> bool, for every non-free cell
     den: int
     constant: int
-    unary: Mapping  # Cell -> (cost at 0, cost at 1)
-    face_terms: Mapping  # Face -> FaceTerm
+    state: list
+    u0: list
+    u1: list
+    lo: list
+    axis: list
+    e00: list
+    e01: list
+    e10: list
+    e11: list
+    w_plus: list
+    w_minus: list
+    p: list
+
+    @property
+    def terms(self) -> tuple:
+        """The face-term arrays, in field order from ``lo`` to ``p``."""
+        return (self.lo, self.axis, self.e00, self.e01, self.e10, self.e11,
+                self.w_plus, self.w_minus, self.p)
+
+    @property
+    def strides(self) -> tuple:
+        return _layout(self.domain.dims)[0]
+
+    @functools.cached_property
+    def hi(self) -> list:
+        """Upper cell of every face term."""
+        return list(map(add, self.lo, map(self.strides.__getitem__, self.axis)))
+
+    @functools.cached_property
+    def free_index(self) -> list:
+        """Numbers of the free cells, ascending."""
+        return list(compress(range(len(self.state)), map(FREE.__eq__, self.state)))
+
+    @functools.cached_property
+    def free_cells(self) -> tuple:
+        cells = self.domain.cells()
+        return tuple([cells[i] for i in self.free_index])
+
+    def index(self, cell) -> Optional[int]:
+        """The cell's number, None for a cell outside the grid."""
+        if not self.domain.contains_cell(cell):
+            return None
+        return sum(map(mul, cell, self.strides))
 
     def frozen_ones(self) -> frozenset:
-        return frozenset(c for c, v in self.frozen.items() if v)
+        return frozenset(compress(self.domain.cells(), map((1).__eq__, self.state)))
 
     def full_set(self, free_members: frozenset) -> CellSet:
         return CellSet(self.domain, frozenset(free_members) | self.frozen_ones())
@@ -135,97 +201,122 @@ def _scaled(w: Fraction, den: int) -> int:
     return w.numerator * (den // w.denominator)
 
 
-class _Builder:
-    def __init__(self, domain: GridDomain, free: frozenset, frozen: dict):
-        self.domain = domain
-        self.free = free
-        self.frozen = frozen
-        self.constant = 0
-        self.unary = {c: [0, 0] for c in free}
-        self.tables = {}  # Face -> [e00, e01, e10, e11, w_plus, w_minus, p, lower, upper]
+def _compile(domain: GridDomain, state: list, den: int, faces, cells,
+             perimeter: int = 0, interior: bool = False):
+    """(energy over cells in the given states with these costs, strays).
 
-    def state(self, cell: Optional[Cell]):
-        """None for a free cell; 0/1 for frozen or exterior."""
-        if cell is None:
-            return 0
-        if cell in self.free:
-            return None
-        return 1 if self.frozen[cell] else 0
+    ``perimeter`` charges every face of the cell mask's perimeter: the
+    faces touching a free cell (exterior and frozen sides alike), or with
+    ``interior`` only the faces between two free cells.  ``faces`` yields
+    (face, (c00, c01, c10, c11), weight, kind): costs ``c_ij`` with the
+    lower side at state i and the upper at j, the exterior being out, and
+    the weight recorded in w_plus (kind 0), w_minus (1) or p (2) when the
+    face joins two free cells.  ``cells`` yields (cell, cost when in).
+    The strays are the faces and cells that touch no free cell.
+    """
+    dims = domain.dims
+    d = len(dims)
+    strides, across, lows, ends = _layout(dims)
+    n = len(state)
+    u0 = [0] * n
+    u1 = [0] * n
+    constant = 0
+    lo, ax, stray = [], [], []
+    P = perimeter
+    if P:
+        all_free = state.count(FREE) == n
+        for a in range(d):
+            st = strides[a]
+            if all_free:
+                lo += lows[a]
+                ax += [a] * len(lows[a])
+            else:
+                for i in lows[a]:
+                    si, sj = state[i], state[i + st]
+                    if si == FREE:
+                        if sj == FREE:
+                            lo.append(i)
+                            ax.append(a)
+                        elif not interior:  # pays P when it differs from sj
+                            (u0 if sj else u1)[i] += P
+                    elif sj == FREE and not interior:
+                        (u0 if si else u1)[i + st] += P
+            if not interior:
+                for i in ends[a]:  # the exterior side is out
+                    if state[i] == FREE:
+                        u1[i] += P
+    k = len(lo)
+    # lo, axis, e00, e01, e10, e11, w_plus, w_minus, p
+    terms = (lo, ax, [0] * k, [P] * k, [P] * k, [0] * k, [0] * k, [0] * k, [P] * k)
 
-    def add_face_cost(self, face: Face, costs: tuple, weight: int, kind: int):
-        """Add costs = (c00, c01, c10, c11) over the face's two sides, folding fixed sides.
-
-        ``c_ij`` is the cost with the lower side at state i and the upper
-        side at state j.  kind: 4 = w_plus, 5 = w_minus, 6 = perimeter
-        weight (for reporting).
-        """
+    term_of = None  # (lower cell, axis) -> term, built when a face first needs it
+    for face, costs, weight, kind in faces:
         if not weight:
-            return
-        lo = self.domain.lower_cell(face)
-        hi = self.domain.upper_cell(face)
-        s_lo = self.state(lo)
-        s_hi = self.state(hi)
-        if s_lo is None and s_hi is None:
-            t = self.tables.get(face)
-            if t is None:
-                t = self.tables[face] = [0, 0, 0, 0, 0, 0, 0, lo, hi]
-            for k, c in enumerate(costs):
-                t[k] += c
-            t[kind] += weight
-        elif s_lo is None:
-            for i in (0, 1):
-                self.unary[lo][i] += costs[2 * i + s_hi]
-        elif s_hi is None:
-            for j in (0, 1):
-                self.unary[hi][j] += costs[2 * s_lo + j]
+            continue
+        a, s = face.axis, face.slot
+        st = strides[a]
+        i = sum(map(mul, face.at, across[a])) + (s - 1) * st  # the lower cell when s > 0
+        s_lo = state[i] if s else 0
+        s_hi = state[i + st] if s < dims[a] else 0
+        if s_lo == FREE and s_hi == FREE:
+            if term_of is None:
+                term_of = {j * d + b: t for t, (j, b) in enumerate(zip(lo, ax))}
+            t = term_of.setdefault(i * d + a, len(lo))
+            if t == len(lo):
+                for column, x in zip(terms, (i, a, 0, 0, 0, 0, 0, 0, 0)):
+                    column.append(x)
+            for column, c in zip(terms[2:6], costs):
+                column[t] += c
+            terms[6 + kind][t] += weight
+        elif s_lo == FREE:
+            u0[i] += costs[s_hi]
+            u1[i] += costs[2 + s_hi]
+        elif s_hi == FREE:
+            u0[i + st] += costs[2 * s_lo]
+            u1[i + st] += costs[2 * s_lo + 1]
         else:
-            self.constant += costs[2 * s_lo + s_hi]
+            constant += costs[2 * s_lo + s_hi]
+            stray.append(face)
 
-    def add_cell_cost(self, cell: Cell, weight: int):
-        """weight * [cell in A]."""
-        s = self.state(cell)
-        if s is None:
-            self.unary[cell][1] += weight
-        elif s:
-            self.constant += weight
+    for cell, cost in cells:
+        i = sum(map(mul, cell, strides))
+        if state[i] == FREE:
+            u1[i] += cost
+        else:
+            constant += state[i] * cost
+            stray.append(cell)
 
-    def build(self, den: int) -> BinaryEnergy:
-        terms = {
-            face: FaceTerm(lo, hi, ((e00, e01), (e10, e11)), w_plus, w_minus, p)
-            for face, (e00, e01, e10, e11, w_plus, w_minus, p, lo, hi) in self.tables.items()
-        }
-        return BinaryEnergy(
-            domain=self.domain,
-            free_cells=tuple(sorted(self.free)),
-            frozen=dict(self.frozen),
-            den=den,
-            constant=self.constant,
-            unary={c: (e[0], e[1]) for c, e in self.unary.items()},
-            face_terms=terms,
-        )
+    return BinaryEnergy(domain, den, constant, state, u0, u1, *terms), stray
 
 
-def _mode_pieces(domain: GridDomain, mode: Mode):
-    """Returns (free cells, frozen assignment, perimeter faces in domain order)."""
-    all_cells = frozenset(domain.cells())
+def _mode_state(domain: GridDomain, mode: Mode):
+    """(per-cell states, whether the perimeter counts interior faces only)."""
+    n = domain.cell_count
     if isinstance(mode, FullSpace):
-        return all_cells, {}, domain.faces()
+        return [FREE] * n, False
     if isinstance(mode, Dirichlet):
         _check_same_domain(mode.a0, mode.omega)
         if mode.a0.domain != domain:
             raise ValueError("Dirichlet data bound to a different domain")
-        free = frozenset(mode.omega.cells)
-        frozen = {c: (c in mode.a0.cells) for c in all_cells - free}
-        faces = mode.omega.closure_faces()
+        state = [0] * n
+        for i in _numbers(domain, mode.a0.cells):
+            state[i] = 1
+        omega, interior = mode.omega, False
     elif isinstance(mode, Relative):
         if mode.omega.domain != domain:
             raise ValueError("Relative region bound to a different domain")
-        free = frozenset(mode.omega.cells)
-        frozen = {c: False for c in all_cells - free}
-        faces = mode.omega.interior_faces()
+        state = [0] * n
+        omega, interior = mode.omega, True
     else:
         raise TypeError(f"unknown mode {mode!r}")
-    return free, frozen, [f for f in domain.faces() if f in faces]
+    for i in _numbers(domain, omega.cells):
+        state[i] = FREE
+    return state, interior
+
+
+def _numbers(domain: GridDomain, cells):
+    strides = _layout(domain.dims)[0]
+    return [sum(map(mul, c, strides)) for c in cells]
 
 
 def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> BinaryEnergy:
@@ -240,46 +331,34 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
     p = Fraction(perimeter_weight)
     if p < 0:
         raise ValueError("perimeter weight must be nonnegative")
-    free, frozen, perim_faces = _mode_pieces(domain, mode)
-
-    if isinstance(mode, Dirichlet):
-        closure = mode.omega.closure_faces()
-        for mu in (pair.plus, pair.minus):
-            bad_cells = mu.support_cells() - free
-            bad_faces = mu.support_faces() - closure
-            if bad_cells or bad_faces:
-                raise MeasureSupportError(
-                    "Dirichlet mode requires measure support inside omega's "
-                    f"cells and closure faces; offending cells={sorted(bad_cells)} "
-                    f"faces={sorted(bad_faces)}"
-                )
+    state, interior = _mode_state(domain, mode)
 
     den = p.denominator
     for mu in (pair.plus, pair.minus):
         for weights in (mu.cell_weights, mu.face_weights):
             den = math.lcm(den, *(w.denominator for w in weights.values()))
-    b = _Builder(domain, free, frozen)
 
-    P = _scaled(p, den)
-    cut = (0, P, P, 0)
-    for face in perim_faces:
-        b.add_face_cost(face, cut, P, kind=6)
+    def faces():
+        # a boundary face is never in any A^1: its exterior side keeps
+        # every plus cost at 0
+        for f, w in pair.plus.face_weights.items():
+            W = _scaled(w, den)
+            yield f, (0, 0, 0, W), W, 0
+        for f, w in pair.minus.face_weights.items():
+            W = _scaled(w, den)
+            yield f, (0, -W, -W, -W), W, 1
 
-    for cell in sorted(pair.plus.cell_weights):
-        b.add_cell_cost(cell, _scaled(pair.plus.cell_weights[cell], den))
-    for face in sorted(pair.plus.face_weights):
-        if domain.is_boundary_face(face):
-            continue  # boundary faces are never in any A^1
-        w = _scaled(pair.plus.face_weights[face], den)
-        b.add_face_cost(face, (0, 0, 0, w), w, kind=4)
-
-    for cell in sorted(pair.minus.cell_weights):
-        b.add_cell_cost(cell, -_scaled(pair.minus.cell_weights[cell], den))
-    for face in sorted(pair.minus.face_weights):
-        w = _scaled(pair.minus.face_weights[face], den)
-        b.add_face_cost(face, (0, -w, -w, -w), w, kind=5)
-
-    return b.build(den)
+    cells = [(c, _scaled(w, den)) for c, w in pair.plus.cell_weights.items()]
+    cells += [(c, -_scaled(w, den)) for c, w in pair.minus.cell_weights.items()]
+    energy, stray = _compile(domain, state, den, faces(), cells, _scaled(p, den), interior)
+    if stray and isinstance(mode, Dirichlet):
+        bad_faces = sorted(f for f in stray if isinstance(f, Face))
+        bad_cells = sorted(c for c in stray if not isinstance(c, Face))
+        raise MeasureSupportError(
+            "Dirichlet mode requires measure support inside omega's cells and "
+            f"closure faces; offending cells={bad_cells} faces={bad_faces}"
+        )
+    return energy
 
 
 def assemble_excess(
@@ -302,8 +381,9 @@ def assemble_excess(
     so the margin 2p - w_plus - w_minus is negative exactly on a
     two-sided face whose closure mass exceeds twice its charge.
     """
-    free = frozenset(admissible)
-    frozen = {c: False for c in domain.cells() if c not in free}
+    state = [0] * domain.cell_count
+    for i in _numbers(domain, admissible):
+        state[i] = FREE
     weights = (
         cell_penalty,
         *charged_faces.values(),
@@ -311,77 +391,81 @@ def assemble_excess(
         *cell_masses.values(),
     )
     den = math.lcm(*(Fraction(w).denominator for w in weights))
-    b = _Builder(domain, free, frozen)
-    for face, charge in charged_faces.items():
-        P = _scaled(Fraction(charge), den)
-        b.add_face_cost(face, (0, P, P, 0), P, kind=6)
-    for face, (w, rep) in mass_faces.items():
-        W = _scaled(Fraction(w), den)
-        if rep == CLOSURE:
-            b.add_face_cost(face, (0, -W, -W, -W), W, kind=5)
-        else:
-            b.add_face_cost(face, (0, 0, 0, -W), -W, kind=4)
-    for cell, w in cell_masses.items():
-        b.add_cell_cost(cell, -_scaled(Fraction(w), den))
+
+    def faces():
+        for f, charge in charged_faces.items():
+            P = _scaled(Fraction(charge), den)
+            yield f, (0, P, P, 0), P, 2
+        for f, (w, rep) in mass_faces.items():
+            W = _scaled(Fraction(w), den)
+            if rep == CLOSURE:
+                yield f, (0, -W, -W, -W), W, 1
+            else:
+                yield f, (0, 0, 0, -W), -W, 0
+
     pen = _scaled(Fraction(cell_penalty), den)
-    for cell in free:
-        b.add_cell_cost(cell, pen)
-    return b.build(den)
+    cells = [(c, -_scaled(Fraction(w), den)) for c, w in cell_masses.items()]
+    if pen:
+        cells += [(c, pen) for c in admissible]
+    return _compile(domain, state, den, faces(), cells)[0]
 
 
 def flip_links(energy: BinaryEnergy):
     """Per free cell, the integer change of den * E when it enters a set.
 
-    Returns (gain, links): entering cell c changes the energy by gain[c]
-    plus, for each (neighbour, if_out, if_in) in links[c], if_in when the
-    neighbour is in the set and if_out when it is out.  Leaving negates
-    the same sum.
+    Cells are counted by their position k in ``free_cells``.  Returns
+    (gain, links): entering cell k with no neighbour in the set changes the
+    energy by gain[k], and each (neighbour, coupling) in links[k] adds the
+    coupling when that neighbour is in.  Leaving negates the same sum.
     """
-    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
-    links = {c: [] for c in energy.free_cells}
-    for term in energy.face_terms.values():
-        (e00, e01), (e10, e11) = term.table
-        links[term.lower].append((term.upper, e10 - e00, e11 - e01))
-        links[term.upper].append((term.lower, e01 - e00, e11 - e10))
+    free = energy.free_index
+    position = dict(zip(free, range(len(free))))
+    gain = [energy.u1[i] - energy.u0[i] for i in free]
+    links = [[] for _ in free]
+    for i, j, e00, e01, e10, e11 in zip(
+        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
+    ):
+        k, m = position[i], position[j]
+        gain[k] += e10 - e00
+        gain[m] += e01 - e00
+        coupling = e00 + e11 - e01 - e10
+        if coupling:
+            links[k].append((m, coupling))
+            links[m].append((k, coupling))
     return gain, links
 
 
 def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
     """Fold additional cells to fixed states (hard constraints, no big-M)."""
-    for c in assignment:
-        if c not in energy.unary:
-            raise ValueError(f"cell {c} is not free in this energy")
-    fixed = {c: bool(v) for c, v in assignment.items()}
-    free = frozenset(energy.free_cells) - frozenset(fixed)
-    frozen = dict(energy.frozen)
-    frozen.update(fixed)
+    state = list(energy.state)
+    u0, u1 = list(energy.u0), list(energy.u1)
     constant = energy.constant
-    unary = {c: [energy.unary[c][0], energy.unary[c][1]] for c in free}
-    terms = {}
-    for face, term in energy.face_terms.items():
-        s_lo = fixed.get(term.lower)
-        s_hi = fixed.get(term.upper)
-        if s_lo is None and s_hi is None:
-            terms[face] = term
-        elif s_lo is not None and s_hi is not None:
-            constant += term.table[s_lo][s_hi]
-        elif s_lo is not None:
-            for j in (0, 1):
-                unary[term.upper][j] += term.table[s_lo][j]
+    for c, v in assignment.items():
+        i = energy.index(c)
+        if i is None or state[i] != FREE:
+            raise ValueError(f"cell {c} is not free in this energy")
+        v = 1 if v else 0
+        constant += (u0, u1)[v][i]
+        state[i] = v
+        u0[i] = u1[i] = 0
+    keep = []
+    terms = energy.terms  # terms[2 + 2 * a + b] is the column of e_ab
+    for t, i, j in zip(range(len(energy.lo)), energy.lo, energy.hi):
+        si, sj = state[i], state[j]
+        if si == FREE:
+            if sj == FREE:
+                keep.append(t)
+                continue
+            u0[i] += terms[2 + sj][t]
+            u1[i] += terms[4 + sj][t]
+        elif sj == FREE:
+            u0[j] += terms[2 + 2 * si][t]
+            u1[j] += terms[3 + 2 * si][t]
         else:
-            for i in (0, 1):
-                unary[term.lower][i] += term.table[i][s_hi]
-    for c, v in fixed.items():
-        constant += energy.unary[c][v]
-    return BinaryEnergy(
-        domain=energy.domain,
-        free_cells=tuple(sorted(free)),
-        frozen=frozen,
-        den=energy.den,
-        constant=constant,
-        unary={c: (e[0], e[1]) for c, e in unary.items()},
-        face_terms=terms,
-    )
+            constant += terms[2 + 2 * si + sj][t]
+    if len(keep) < len(energy.lo):
+        terms = [list(map(column.__getitem__, keep)) for column in terms]
+    return BinaryEnergy(energy.domain, energy.den, constant, state, u0, u1, *terms)
 
 
 def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
@@ -393,61 +477,72 @@ def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
     den = math.lcm(energy.den, lam.denominator)
     k = den // energy.den
     step = _scaled(lam, den)
-    terms = energy.face_terms
+    state = energy.state
+    lo, axis, *columns = energy.terms
     if k > 1:
-        terms = {
-            face: FaceTerm(t.lower, t.upper, tuple(tuple(k * x for x in row) for row in t.table),
-                           k * t.w_plus, k * t.w_minus, k * t.p)
-            for face, t in terms.items()
-        }
+        columns = [[k * x for x in column] for column in columns]
     return BinaryEnergy(
-        domain=energy.domain,
-        free_cells=energy.free_cells,
-        frozen=energy.frozen,
-        den=den,
-        constant=k * energy.constant + step * len(energy.frozen_ones()),
-        unary={c: (k * e0, k * e1 + step) for c, (e0, e1) in energy.unary.items()},
-        face_terms=terms,
+        energy.domain,
+        den,
+        k * energy.constant + step * state.count(1),
+        state,
+        [k * x for x in energy.u0],
+        [k * x + step if s == FREE else 0 for x, s in zip(energy.u1, state)],
+        lo,
+        axis,
+        *columns,
     )
 
 
 def _total(energy: BinaryEnergy, cells) -> int:
     """den * the energy of the set with these cells, frozen cells unchecked."""
-    value = energy.constant
-    for c, (e0, e1) in energy.unary.items():
-        value += e1 if c in cells else e0
-    for term in energy.face_terms.values():
-        value += term.table[term.lower in cells][term.upper in cells]
+    inside = bytearray(len(energy.state))
+    for i in _numbers(energy.domain, cells):
+        inside[i] = 1
+    value = energy.constant + sum(energy.u0)
+    value += sum(compress(energy.u1, inside)) - sum(compress(energy.u0, inside))
+    for i, j, e00, e01, e10, e11 in zip(
+        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
+    ):
+        if inside[i]:
+            value += e11 if inside[j] else e10
+        else:
+            value += e01 if inside[j] else e00
     return value
 
 
 def evaluate(energy: BinaryEnergy, A: CellSet) -> Fraction:
     """Exact functional value of the full set A (frozen part included)."""
     _check_same_domain(energy, A)
-    for c, v in energy.frozen.items():
-        if (c in A.cells) != v:
+    for c, s in zip(energy.domain.cells(), energy.state):
+        if s != FREE and (c in A.cells) != s:
             raise FrozenCellConflictError(
-                f"cell {c} must be {'in' if v else 'out of'} the set"
+                f"cell {c} must be {'in' if s else 'out of'} the set"
             )
     return Fraction(_total(energy, A.cells), energy.den)
 
 
 def check_submodular(energy: BinaryEnergy) -> SubmodularityReport:
     """Per-face test e01 + e10 >= e00 + e11 (equivalently w+ + w- <= 2p)."""
-    bad = [face for face, term in energy.face_terms.items() if term.margin < 0]
     den = energy.den
     violations = []
-    for face in sorted(bad):
-        term = energy.face_terms[face]
-        violations.append(
-            Violation(
-                face=face,
-                w_plus=Fraction(term.w_plus, den),
-                w_minus=Fraction(term.w_minus, den),
-                p=Fraction(term.p, den),
-                margin=Fraction(term.margin, den),
+    for t, e00, e01, e10, e11 in zip(
+        range(len(energy.lo)), energy.e00, energy.e01, energy.e10, energy.e11
+    ):
+        margin = e01 + e10 - e00 - e11
+        if margin < 0:
+            a = energy.axis[t]
+            c = energy.domain.cells()[energy.lo[t]]
+            violations.append(
+                Violation(
+                    face=Face(a, c[a] + 1, c[:a] + c[a + 1:]),
+                    w_plus=Fraction(energy.w_plus[t], den),
+                    w_minus=Fraction(energy.w_minus[t], den),
+                    p=Fraction(energy.p[t], den),
+                    margin=Fraction(margin, den),
+                )
             )
-        )
+    violations.sort(key=lambda v: v.face)
     return SubmodularityReport(ok=not violations, violations=tuple(violations))
 
 
@@ -461,7 +556,13 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
     from .measure import mass_on_closure, mass_on_interior
 
     domain = pair.domain
-    _, _, perim_faces = _mode_pieces(domain, mode)
+    _, interior = _mode_state(domain, mode)
+    if isinstance(mode, FullSpace):
+        perim_faces = domain.faces()
+    elif interior:
+        perim_faces = mode.omega.interior_faces()
+    else:
+        perim_faces = mode.omega.closure_faces()
     perim = sum(
         (Fraction(perimeter_weight) for f in perim_faces if face_crosses(domain, f, A)),
         Fraction(0),

@@ -97,26 +97,30 @@ def frontier_minimize(
     # cells and the bits of its covering partners, where bit k of the state
     # before the cell enters is the cell k + 1 positions back
     cell_at = [None] * n_pos
+    number_at = [None] * n_pos
     back = {}
-    for c in free:
-        cell_at[pos(c)] = c
-        back[pos(c)] = ([], [])
-    for term in energy.face_terms.values():
-        p = pos(term.upper)
-        back[p][0].append((p - pos(term.lower) - 1, term.table))
+    position = {}
+    for i, c in zip(energy.free_index, free):
+        p = position[i] = pos(c)
+        cell_at[p], number_at[p] = c, i
+        back[p] = ([], [])
+    tables = list(zip(zip(energy.e00, energy.e01), zip(energy.e10, energy.e11)))
+    for a, j, table in zip(energy.axis, energy.hi, tables):
+        back[position[j]][0].append((stride[a] - 1, table))
     for pair in covering:
         u, w = sorted(tuple(c) for c in pair)
-        if u not in energy.unary or w not in energy.unary:
+        i, j = energy.index(u), energy.index(w)
+        if i not in position or j not in position:
             raise ValueError(f"covering pair {pair} names a cell that is not free")
         if sum(abs(x - y) for x, y in zip(u, w)) != 1:
             raise ValueError(f"covering pair {pair} is not a pair of face neighbours")
-        back[pos(w)][1].append(pos(w) - pos(u) - 1)
+        back[position[j]][1].append(position[j] - position[i] - 1)
 
     # every partial sum of terms lies in [-bound, bound]; a value carrying
     # at least one INF (a forbidden step, a volume out of reach) stays above
     # INF - 2 bound > bound
-    bound = sum(max(map(abs, e)) for e in energy.unary.values())
-    bound += sum(max(abs(x) for row in t.table for x in row) for t in energy.face_terms.values())
+    bound = sum(map(max, map(abs, energy.u0), map(abs, energy.u1)))
+    bound += sum(max(map(abs, e0 + e1)) for e0, e1 in tables)
     INF = 3 * bound + 1
 
     # The value of state s at volume u is rows[u - vlo][s] + off[s]: the
@@ -138,7 +142,8 @@ def frontier_minimize(
             nlo = vlo
             nhi = vlo + len(rows) - 1
         else:
-            step = _step_costs(energy.unary[cell_at[p]], *back[p], full, INF)
+            i = number_at[p]
+            step = _step_costs((energy.u0[i], energy.u1[i]), *back[p], full, INF)
             seen += 1
             nlo = max(0, tracked - (n_free - seen)) if volume is not None else 0
             nhi = min(tracked, seen)

@@ -329,10 +329,11 @@ def strong_excess(
             scan = _scan(domain, energy)
         return ExcessResult(scan.best_value, scan.best_set, "exhaustive")
 
-    net, node_of, base = _cut_network(energy)
+    net, base = _cut_network(energy)
+    free = energy.free_cells  # free cell k is node k + 2
 
     def witness(nodes) -> CellSet:
-        return CellSet.of(domain, [c for c, n in node_of.items() if n in nodes])
+        return CellSet.of(domain, [free[v - 2] for v in nodes if v > 1])
 
     # least = den * the least energy = -den * the best excess, empty set
     # included (it scores 0)
@@ -349,7 +350,7 @@ def strong_excess(
     sinks = [v == net.sink for v in range(net.n_nodes)]
     best: Optional[int] = None
     best_witness: Optional[CellSet] = None
-    for node in node_of.values():  # sorted cell order
+    for node in range(2, net.n_nodes):  # sorted cell order
         delta = augment(net, node, sinks)
         if best is None or delta < best:
             best = delta
@@ -471,11 +472,7 @@ def small_volume_profile(
     sweep(ZERO, ex0, wit0, lam_hi, exh, with_)
 
     energy = assemble_excess(domain, **terms, cell_penalty=cell_penalty)
-    gain, links = flip_links(energy)
-    best_single = Fraction(
-        -min(gain[c] + sum(if_out for _, if_out, _ in links[c]) for c in admissible),
-        energy.den,
-    )
+    best_single = Fraction(-min(flip_links(energy)[0]), energy.den)
     if 1 not in exact or best_single > exact[1]:
         exact[1] = best_single
 
@@ -541,6 +538,7 @@ def divergence_certificate(mu: MeasureData, C):
     domain = mu.domain
     heavy = tuple(f for f, w in sorted(mu.face_weights.items()) if w > 2 * C)
     model = _CertificateNetwork(mu, C)
+    pristine = model.net.snapshot()
     result, slack = model.solve()
     if slack > 0:
         # min-cut source side refutes routing; for weights <= 2C the deficit
@@ -554,16 +552,16 @@ def divergence_certificate(mu: MeasureData, C):
 
     den = model.den
     half = Fraction(1, 2)
-    flows = result.flows
+    cap = model.net.cap
     sigma: Dict[Face, Fraction] = {}
     shares: Dict[Face, Tuple[Fraction, Fraction]] = {}
     for face in domain.faces():
         if face in model.sigma_arc:
             arc, sign = model.sigma_arc[face]
-            sigma[face] = Fraction(sign * flows[arc], den)
+            sigma[face] = Fraction(sign * (pristine[arc] - cap[arc]), den)
             continue
         t_lo, t_hi = (
-            Fraction(const + (sign * flows[arc] if arc is not None else 0), den)
+            Fraction(const + (sign * (pristine[arc] - cap[arc]) if arc is not None else 0), den)
             for const, arc, sign in model.share_arcs[face]
         )
         sigma[face] = (t_hi - t_lo) * half

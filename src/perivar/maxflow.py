@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import List, Optional, Tuple
 
 from .energy import (
@@ -115,15 +116,10 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class CutResult:
-    """Max-flow value, canonical (inclusion-minimal) source side, arc flows.
-
-    ``flows`` is a maximum flow, the one the engine found; other maximum
-    flows exist in general, while ``value`` and ``source_side`` are unique.
-    """
+    """Max-flow value and the canonical (inclusion-minimal) source side."""
 
     value: int
     source_side: frozenset
-    flows: tuple  # net flow per arc index, aligned with the network's arcs
 
 
 _S, _T = 1, 2  # search-tree sides; 0 is a free node
@@ -324,22 +320,13 @@ def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list
 def max_flow(net: FlowNetwork) -> CutResult:
     """A maximum flow with the canonical minimal min cut.
 
-    The current capacities are taken as pristine: the flows and the value
-    count only what this call adds.  The flows are whichever maximum flow
-    ``augment`` finds, not a canonical one; the value and the cut are.
+    The current capacities are taken as pristine: the value counts only
+    the flow this call adds.  The flow left in the network is whichever
+    maximum flow ``augment`` finds, not a canonical one; the value and the
+    cut are unique.
     """
-    base = list(net.cap)
-    augment(net)
-    reach = _residual_reachable(net)
-    flows = tuple(base[i] - net.cap[i] for i in range(len(net.cap)))
-    # net outflow of the source: sum of net flows on its outgoing arc pairs
-    value = 0
-    for i in net.adj[net.source]:
-        if i % 2 == 0:
-            value += flows[i]
-        else:
-            value -= flows[i ^ 1]
-    return CutResult(value=value, source_side=frozenset(reach), flows=flows)
+    value = augment(net)
+    return CutResult(value=value, source_side=frozenset(_residual_reachable(net)))
 
 
 def _residual_reachable(net: FlowNetwork, start: Optional[int] = None) -> set:
@@ -368,39 +355,53 @@ def cut_capacity(net: FlowNetwork, source_side: frozenset, caps: list) -> int:
 
 
 def _cut_network(energy: BinaryEnergy):
-    """Network whose cuts price a submodular energy: (net, node of each free cell, base).
+    """Network whose cuts price a submodular energy: (net, base).
 
-    A cut with source side {source} + the nodes of A has capacity
-    den * E(A) - base.
+    Free cell k (``energy.free_cells[k]``) is node k + 2.  A cut with
+    source side {source} + the nodes of A has capacity den * E(A) - base.
     """
-    net = FlowNetwork()
-    node_of = {c: net.add_node() for c in energy.free_cells}
+    free = energy.free_index
+    node = [0] * len(energy.state)
+    for v, i in enumerate(free, 2):
+        node[i] = v
 
     # theta = e00 + (e10-e00) x_lo + (e11-e10) x_hi + (e01+e10-e00-e11) (1-x_lo) x_hi:
     # gain is the net cost of labeling a cell 1; base collects the terms free
     # of labels, then each negative gain, which its source arc pays back
-    base = energy.constant + sum(e0 for e0, _ in energy.unary.values())
-    gain = {c: e1 - e0 for c, (e0, e1) in energy.unary.items()}
-    pair_arcs = []
-    for term in energy.face_terms.values():
-        (e00, e01), (e10, e11) = term.table
-        base += e00
-        gain[term.lower] += e10 - e00
-        gain[term.upper] += e11 - e10
+    u0, u1 = energy.u0, energy.u1
+    base = energy.constant + sum(u0) + sum(energy.e00)
+    gain = list(map(sub, u1, u0))
+    pairs = []
+    for i, j, e00, e01, e10, e11 in zip(
+        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
+    ):
+        gain[i] += e10 - e00
+        gain[j] += e11 - e10
         coeff = e01 + e10 - e00 - e11
         if coeff:
-            pair_arcs.append((node_of[term.upper], node_of[term.lower], coeff))
+            pairs.append((node[j], node[i], coeff))
 
-    for c, node in node_of.items():
-        g = gain[c]
+    net = FlowNetwork()
+    arcs = []  # (tail, head, capacity): the terminal arcs, then the pairs
+    for v, i in enumerate(free, 2):
+        g = gain[i]
         if g > 0:
-            net.add_arc(node, net.sink, g)
+            arcs.append((v, net.sink, g))
         elif g < 0:
-            net.add_arc(net.source, node, -g)
+            arcs.append((net.source, v, -g))
             base += g
-    for u, v, cap in pair_arcs:
-        net.add_arc(u, v, cap)
-    return net, node_of, base
+
+    # what add_node and add_arc do, without their checks: these arcs are
+    # valid by construction
+    net.n_nodes += len(free)
+    adj, to, cap = net.adj, net.to, net.cap
+    adj.extend([] for _ in free)
+    for u, w, c in arcs + pairs:
+        adj[u].append(len(to))
+        adj[w].append(len(to) + 1)
+        to += (w, u)
+        cap += (c, 0)
+    return net, base
 
 
 def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
@@ -415,10 +416,11 @@ def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
     if not report.ok:
         raise NonSubmodularError(report)
 
-    net, node_of, base = _cut_network(energy)
+    net, base = _cut_network(energy)
     value = base + augment(net)
     reach = _residual_reachable(net)
-    sol = energy.full_set(frozenset(c for c, node in node_of.items() if node in reach))
+    free = energy.free_cells
+    sol = energy.full_set(frozenset(free[v - 2] for v in reach if v > 1))
     if _total(energy, sol.cells) != value:
         raise AssertionError("cut value and energy of the minimizer disagree")
     return sol, Fraction(value, energy.den)

@@ -90,18 +90,17 @@ def _scan(domain: GridDomain, energy: BinaryEnergy) -> ScanResult:
     # excess (the energy's change, negated) for every state under that mask.
     # An entering cell's own bit is set after the flip; a leaving cell sees
     # the same neighbours and takes the negated change.
-    bit_of = {c: 1 << i for i, c in enumerate(cells)}
     flip_mask = []
     table: List[Dict[int, int]] = []
-    for c in cells:
-        mask = bit_of[c]
-        enter = {0: -gain[c] - sum(if_out for _, if_out, _ in links[c])}
-        for other, if_out, if_in in links[c]:
-            mask |= bit_of[other]
+    for i in range(n):
+        mask = 1 << i
+        enter = {0: -gain[i]}
+        for other, coupling in links[i]:
+            mask |= 1 << other
             for m, v in list(enter.items()):
-                enter[m | bit_of[other]] = v - if_in + if_out
+                enter[m | 1 << other] = v - coupling
         entries = {m: -v for m, v in enter.items()}
-        entries.update((m | bit_of[c], v) for m, v in enter.items())
+        entries.update((m | 1 << i, v) for m, v in enter.items())
         flip_mask.append(mask)
         table.append(entries)
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .energy import (
+    FREE,
     BinaryEnergy,
     Dirichlet,
     FullSpace,
@@ -72,15 +73,16 @@ def solve_obstacle(
         raise EmptyClassError("inner obstacle is not contained in the outer one")
     mode = FullSpace() if region is None else Dirichlet(a0=inner, omega=region)
     energy = assemble(pair, mode, perimeter_weight)
-    free = frozenset(energy.free_cells)
+    state = energy.state
     frozen: Dict[tuple, bool] = {}
     for c in inner.cells:
-        if c in free:
+        if state[energy.index(c)] == FREE:
             frozen[c] = True
     for c in outer.complement().cells:
-        if c in free:
+        s = state[energy.index(c)]
+        if s == FREE:
             frozen[c] = False
-        elif energy.frozen.get(c):
+        elif s:
             raise ValueError(
                 f"cell {c} is pinned inside by the boundary datum but excluded "
                 "by the outer obstacle"
@@ -107,24 +109,24 @@ def _greedy_resize(energy: BinaryEnergy, start: CellSet, target: int) -> CellSet
     ``flip_links``, given which neighbours are in.
     """
     gain, links = flip_links(energy)
-    current = set(start.cells)
-    free = set(energy.free_cells)
+    free = energy.free_cells
+    current = {k for k, c in enumerate(free) if c in start.cells}
+    target -= energy.state.count(1)  # the frozen-in cells count in |A|
     while len(current) != target:
         grow = len(current) < target
-        candidates = (free - current) if grow else (current & free)
-        best_cell, best_delta = None, None
-        for c in sorted(candidates):
-            delta = gain[c]
-            for other, if_out, if_in in links[c]:
-                delta += if_in if other in current else if_out
+        best, best_delta = None, None
+        for k in range(len(free)):  # sorted cell order
+            if (k in current) == grow:
+                continue
+            delta = gain[k] + sum(c for other, c in links[k] if other in current)
             if not grow:
                 delta = -delta
             if best_delta is None or delta < best_delta:
-                best_cell, best_delta = c, delta
-        if best_cell is None:
+                best, best_delta = k, delta
+        if best is None:
             raise EmptyClassError("no free cells left to reach the target volume")
-        current = (current | {best_cell}) if grow else (current - {best_cell})
-    return CellSet.of(start.domain, current)
+        current ^= {best}
+    return energy.full_set(frozenset(free[k] for k in current))
 
 
 def solve_volume(
@@ -181,11 +183,9 @@ def solve_volume(
         return result
 
     # Lagrangian sweep: lam large enough that the extremes are empty/full
-    swing = energy.den
-    for e0, e1 in energy.unary.values():
-        swing += abs(e1 - e0)
-    for term in energy.face_terms.values():
-        swing += 2 * max(abs(x) for row in term.table for x in row)
+    swing = energy.den + sum(abs(e1 - e0) for e0, e1 in zip(energy.u0, energy.u1))
+    for table in zip(energy.e00, energy.e01, energy.e10, energy.e11):
+        swing += 2 * max(map(abs, table))
     swing = Fraction(swing, energy.den)
     pieces = parametric_sweep(energy, -swing, swing)
     if pieces[0].volume < len(free_cells) or pieces[-1].volume > 0:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_submodular_pair
+from conftest import as_raw, rand_submodular_pair, rand_weight
 from perivar import (
     CellSet,
     Dirichlet,
@@ -40,62 +40,99 @@ def naive_of(pair, mode, A, weight=F(1)):
     d = pair.domain
     pf, pc = as_raw(pair.plus)
     mf, mc = as_raw(pair.minus)
-    if isinstance(mode, FullSpace):
-        perim = None
-    else:
-        kind = "closure" if isinstance(mode, Dirichlet) else "interior"
-        faces = (
-            mode.omega.closure_faces()
-            if kind == "closure"
-            else mode.omega.interior_faces()
-        )
-        perim = [(f.axis, f.slot, f.at) for f in faces]
+    perim = None
+    if not isinstance(mode, FullSpace):
+        # omega's closure faces touch one of its cells, its interior faces
+        # have both sides in it
+        omega = mode.omega.cells
+        need = any if isinstance(mode, Dirichlet) else all
+        perim = [
+            f for f in naive.all_faces(d.dims)
+            if need(side in omega for side in naive.face_sides(d.dims, f))
+        ]
     return naive.functional(d.dims, A.cells, pf, pc, mf, mc, perim, weight)
 
 
+# 1D, 1 x n, n x 1, 2D and 2 x 2 x 3 grids, and the perimeter weights
+DIFF_DIMS = ((5,), (1, 6), (6, 1), (3, 3), (2, 4), (2, 2, 3))
+DIFF_WEIGHTS = (F(1), F(3, 4), F(5, 3))
+
+
+def rand_signed_pair(rng, d, faces, cells):
+    """Plus and minus weights on a few faces (boundary faces included, some
+    faces carrying both signs) and cells, over denominators 1-5."""
+    dens = (1, 2, 3, 4, 5)
+    boundary = [f for f in faces if d.is_boundary_face(f)]
+    pool = rng.sample(faces, min(4, len(faces))) + rng.sample(boundary, min(2, len(boundary)))
+    weights = ({}, {}), ({}, {})  # (plus, minus) x (faces, cells)
+    for key in pool + rng.sample(cells, min(3, len(cells))):
+        kind = 0 if key in faces else 1
+        sign = rng.randrange(3)  # plus, minus or both
+        for side in (0, 1):
+            if sign in (side, 2):
+                weights[side][kind][key] = rand_weight(rng, 0, 2, dens)
+    plus, minus = (MeasureData(d, face_weights=fw, cell_weights=cw) for fw, cw in weights)
+    return SignedPair(plus, minus)
+
+
+def check_every_subset(rng, pair, mode, free, weight, base=frozenset()):
+    """evaluate == direct_value == naive on every set; then freeze a few
+    free cells, add a volume term over a new denominator, and check the
+    shifted energy on the same sets."""
+    d = pair.domain
+    energy = assemble(pair, mode, weight)
+    pins = {c: rng.random() < 0.5 for c in sorted(free) if rng.random() < 0.3}
+    lam = F(rng.randint(-6, 6), rng.choice([1, 2, 7]))
+    shifted = add_volume_term(freeze(energy, pins), lam)
+    for A in all_subsets(d, free, base):
+        v = evaluate(energy, A)
+        assert v == direct_value(pair, mode, A, weight) == naive_of(pair, mode, A, weight)
+        if all((c in A.cells) == pin for c, pin in pins.items()):
+            assert evaluate(shifted, A) == v + lam * A.volume
+        else:
+            with pytest.raises(FrozenCellConflictError):
+                evaluate(shifted, A)
+
+
 def test_evaluate_matches_direct_and_naive_fullspace(rng):
-    for _ in range(25):
+    for dims, weight in itertools.product(DIFF_DIMS, DIFF_WEIGHTS):
+        d = GridDomain(dims)
+        if d.cell_count > 9 and weight != DIFF_WEIGHTS[-1]:
+            continue  # its 4096 sets, at one weight
+        pair = rand_signed_pair(rng, d, list(d.faces()), list(d.cells()))
+        check_every_subset(rng, pair, FullSpace(), d.cells(), weight)
+    # a pair whose energy min cut can solve, at the unit weight
+    for _ in range(3):
         d = GridDomain(rng.choice([(3, 3), (4, 2), (2, 2, 2)]))
-        pair = rand_submodular_pair(rng, d)
-        mode = FullSpace()
-        energy = assemble(pair, mode)
-        for A in all_subsets(d, d.cells()):
-            v = evaluate(energy, A)
-            assert v == direct_value(pair, mode, A)
-            assert v == naive_of(pair, mode, A)
+        check_every_subset(rng, rand_submodular_pair(rng, d), FullSpace(), d.cells(), F(1))
+
+
+def rand_omega(rng, d):
+    cells = [c for c in d.cells() if rng.random() < 0.6]
+    return Region.of(d, cells or [rng.choice(d.cells())])
 
 
 def test_evaluate_matches_naive_dirichlet(rng):
-    d = GridDomain((3, 3))
-    omega = Region.of(d, CellSet.box(d, (0, 0), (1, 2)).cells)
-    a0 = CellSet.of(d, [(2, 0), (2, 1)])
-    inside_faces = sorted(omega.closure_faces())
-    for _ in range(15):
-        fw = {}
-        for f in rng.sample(inside_faces, k=3):
-            w = F(rng.randint(0, 4), 2)
-            if w:
-                fw[f] = w
-        mu = MeasureData(d, face_weights=fw)
-        pair = SignedPair.of(d, minus=mu)
+    for dims, weight in itertools.product(DIFF_DIMS, DIFF_WEIGHTS):
+        d = GridDomain(dims)
+        omega = rand_omega(rng, d)
+        a0 = CellSet.of(d, [c for c in d.cells() if rng.random() < 0.5])
+        pair = rand_signed_pair(rng, d, sorted(omega.closure_faces()), sorted(omega.cells))
         mode = Dirichlet(a0=a0, omega=omega)
-        energy = assemble(pair, mode)
-        for A in all_subsets(d, omega.cells, base=a0.cells):
-            v = evaluate(energy, A)
-            assert v == direct_value(pair, mode, A)
-            assert v == naive_of(pair, mode, A)
+        check_every_subset(rng, pair, mode, omega.cells, weight, base=a0.cells - omega.cells)
 
 
 def test_evaluate_matches_naive_relative(rng):
+    for dims, weight in itertools.product(DIFF_DIMS, DIFF_WEIGHTS):
+        d = GridDomain(dims)
+        omega = rand_omega(rng, d)
+        # the measure may sit anywhere: only omega's cells can be in a set
+        pair = rand_signed_pair(rng, d, list(d.faces()), list(d.cells()))
+        check_every_subset(rng, pair, Relative(omega=omega), omega.cells, weight)
     d = GridDomain((3, 3))
     omega = Region.of(d, CellSet.box(d, (0, 1), (2, 2)).cells)
-    mu = hyperplane_measure(d, 1, 2, F(3, 2))
-    pair = SignedPair.of(d, minus=mu)
-    mode = Relative(omega=omega)
-    energy = assemble(pair, mode)
-    for A in all_subsets(d, omega.cells):
-        assert evaluate(energy, A) == direct_value(pair, mode, A)
-        assert evaluate(energy, A) == naive_of(pair, mode, A)
+    pair = SignedPair.of(d, minus=hyperplane_measure(d, 1, 2, F(3, 2)))
+    check_every_subset(rng, pair, Relative(omega=omega), omega.cells, F(1))
 
 
 def test_perimeter_weight_scales_cut_term():
@@ -178,3 +215,26 @@ def test_submodularity_report():
     v = report.violations[0]
     assert (v.w_plus, v.w_minus, v.p, v.margin) == (F(3, 2), F(3, 2), F(1), F(-1))
     assert all(type(x) is Fraction for x in (v.w_plus, v.w_minus, v.p, v.margin))
+
+    # 3D, violations on every axis: the report equals a per-face recomputation
+    d = GridDomain((2, 3, 4))
+    inner = [f for f in d.faces() if not d.is_boundary_face(f)]
+    plus, minus = {}, {}
+    for axis in range(3):
+        faces = [f for f in inner if f.axis == axis]
+        for f, (wp, wm) in zip(faces[::2], [(2, 2), (1, 1), (F(5, 4), F(1, 3)), (0, F(7, 2))]):
+            plus[f], minus[f] = F(wp), F(wm)
+    for f in [f for f in d.faces() if d.is_boundary_face(f)][::5]:
+        plus[f], minus[f] = F(3), F(3)  # one-sided: never a face term
+    pair = SignedPair(MeasureData(d, face_weights=plus), MeasureData(d, face_weights=minus))
+    for weight in DIFF_WEIGHTS:
+        want = []
+        for f in sorted(inner):
+            wp, wm = plus.get(f, F(0)), minus.get(f, F(0))
+            if 2 * weight - wp - wm < 0:
+                want.append((f, wp, wm, weight, 2 * weight - wp - wm))
+        report = check_submodular(assemble(pair, FullSpace(), weight))
+        got = [(v.face, v.w_plus, v.w_minus, v.p, v.margin) for v in report.violations]
+        assert got == want and report.ok is not want
+        assert {f.axis for f, *_ in want} == {0, 1, 2}
+        assert all(type(x) is Fraction for v in got for x in v[1:])

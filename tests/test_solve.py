@@ -8,6 +8,7 @@ from perivar import (
     CellSet,
     Dirichlet,
     EmptyClassError,
+    Face,
     FullSpace,
     GridDomain,
     MeasureData,
@@ -17,9 +18,11 @@ from perivar import (
     evaluate,
     hyperplane_measure,
     perimeter,
+    restrict,
     solve_dirichlet,
     solve_obstacle,
     solve_volume,
+    sum_measures,
     volume,
 )
 from perivar.solve import _greedy_resize
@@ -246,3 +249,43 @@ def test_greedy_resize_matches_evaluate_route(rng):
             want = _greedy_resize_by_evaluate(energy, start, target)
             assert _greedy_resize(energy, start, target) == want
             assert want.volume == target
+
+
+def test_grid_cut_solvers_build_no_face_objects(monkeypatch):
+    # the submodular energy of an obstacle or Dirichlet problem compiles by
+    # stride arithmetic: no incident-cell lookups and no Face, per face
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    calls = []
+    for dims in ((40, 40), (10, 10, 10)):
+        d = GridDomain(dims)
+        n, k = dims[0], len(dims)
+        box = lambda lo, hi: CellSet.box(d, (lo,) * k, (hi,) * k)  # noqa: E731
+        dens = {c: F(1 + sum(c) % 4, 4) for c in d.cells() if sum(c) % 3 == 0}
+        minus = sum_measures(hyperplane_measure(d, 0, n // 2, F(3, 2)), MeasureData(d, dens))
+        plus = MeasureData(d, {c: F(1, 2) for c in d.cells() if sum(c) % 7 == 0})
+        pair = SignedPair(plus, minus)
+        omega = box(2, n - 3)
+        inside = SignedPair(restrict(plus, omega), restrict(minus, omega))
+        inner, outer, region = box(n // 2 - 1, n // 2), box(1, n - 2), Region(d, omega.cells)
+        calls += [
+            (solve_obstacle, inner, outer, pair),
+            (solve_obstacle, inner, outer, inside, region),
+            (solve_dirichlet, box(0, n // 2), region, inside),
+        ]
+    with monkeypatch.context() as m:
+        for name in ("lower_cell", "upper_cell", "face_cells"):
+            m.setattr(GridDomain, name, counted(name, getattr(GridDomain, name)))
+        m.setattr(Face, "__init__", counted("Face", Face.__init__))
+        results = [solve(*args) for solve, *args in calls]
+        assert counts == {}
+        # the counters do see such work
+        d.face_cells(Face(0, 1, (0, 0)))
+        assert counts == {"Face": 1, "face_cells": 1, "lower_cell": 1, "upper_cell": 1}
+    assert all(r.exact for r in results)
