@@ -101,25 +101,9 @@ class SubmodularityReport:
         return self.ok
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(dims: tuple):
-    """(strides, per axis: the strides of the other axes, which number a
-    face's ``at``; the lower cells of its two-sided faces in face order;
-    the cells on its two grid-boundary faces)."""
-    d = len(dims)
-    strides = [1] * d
-    for a in reversed(range(d - 1)):
-        strides[a] = strides[a + 1] * dims[a + 1]
-    n = strides[0] * dims[0]
-    lows, ends = [], []
-    for a, (st, m) in enumerate(zip(strides, dims)):
-        # faces run by slot, then by transverse coordinates, which ascend
-        # with the cell number of the slot-0 cell
-        first = [i for i in range(n) if i // st % m == 0]
-        lows.append(tuple(s * st + t for s in range(m - 1) for t in first))
-        ends.append(tuple(first) + tuple((m - 1) * st + t for t in first))
-    across = tuple(tuple(st for b, st in enumerate(strides) if b != a) for a in range(d))
-    return tuple(strides), across, tuple(lows), tuple(ends)
+def _strides(dims: tuple) -> tuple:
+    """Row-major strides: stride[a] is the product of the extents after axis a."""
+    return tuple(math.prod(dims[a + 1:]) for a in range(len(dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +120,8 @@ class BinaryEnergy:
     ``p[k]``.  Every entry is an integer over ``den``.
 
     The arrays are lists that nothing changes once the energy is built,
-    so energies share them.  They are not tuples built from iterators:
-    CPython keeps up to 2000 freed tuples of each length under 20 for
-    reuse, and a tuple grown from an iterator never takes one, so small
-    energies would pile freed tuples up, megabytes over a long run.
+    so energies share them.  (Tuples grown from iterators would pile up
+    in CPython's free lists of small tuples, megabytes over a long run.)
     """
 
     domain: GridDomain
@@ -158,15 +140,9 @@ class BinaryEnergy:
     w_minus: list
     p: list
 
-    @property
-    def terms(self) -> tuple:
-        """The face-term arrays, in field order from ``lo`` to ``p``."""
-        return (self.lo, self.axis, self.e00, self.e01, self.e10, self.e11,
-                self.w_plus, self.w_minus, self.p)
-
-    @property
+    @functools.cached_property
     def strides(self) -> tuple:
-        return _layout(self.domain.dims)[0]
+        return _strides(self.domain.dims)
 
     @functools.cached_property
     def hi(self) -> list:
@@ -201,6 +177,21 @@ def _scaled(w: Fraction, den: int) -> int:
     return w.numerator * (den // w.denominator)
 
 
+def _fold(u0: list, u1: list, i: int, j: int, si: int, sj: int, table) -> int:
+    """Fold a face's table (c00, c01, c10, c11) over cells i and j, in states
+    si and sj and not both free, into the free one's unaries; returns the
+    part that is constant."""
+    if si == FREE:
+        u0[i] += table[sj]
+        u1[i] += table[2 + sj]
+    elif sj == FREE:
+        u0[j] += table[2 * si]
+        u1[j] += table[2 * si + 1]
+    else:
+        return table[2 * si + sj]
+    return 0
+
+
 def _compile(domain: GridDomain, state: list, den: int, faces, cells,
              perimeter: int = 0, interior: bool = False):
     """(energy over cells in the given states with these costs, strays).
@@ -216,67 +207,51 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
     """
     dims = domain.dims
     d = len(dims)
-    strides, across, lows, ends = _layout(dims)
+    strides = _strides(dims)
     n = len(state)
-    u0 = [0] * n
-    u1 = [0] * n
+    u0, u1 = [0] * n, [0] * n
     constant = 0
     lo, ax, stray = [], [], []
     P = perimeter
+    cut = (0, P, P, 0)
     if P:
-        all_free = state.count(FREE) == n
-        for a in range(d):
-            st = strides[a]
-            if all_free:
-                lo += lows[a]
-                ax += [a] * len(lows[a])
-            else:
-                for i in lows[a]:
-                    si, sj = state[i], state[i + st]
-                    if si == FREE:
-                        if sj == FREE:
-                            lo.append(i)
-                            ax.append(a)
-                        elif not interior:  # pays P when it differs from sj
-                            (u0 if sj else u1)[i] += P
-                    elif sj == FREE and not interior:
-                        (u0 if si else u1)[i + st] += P
-            if not interior:
-                for i in ends[a]:  # the exterior side is out
-                    if state[i] == FREE:
-                        u1[i] += P
+        for a, (st, m) in enumerate(zip(strides, dims)):
+            for i, si in enumerate(state):  # the face above cell i on axis a
+                c = i // st % m
+                sj = state[i + st] if c < m - 1 else 0  # the exterior is out
+                if si == FREE == sj:
+                    lo.append(i)
+                    ax.append(a)
+                elif not interior and FREE in (si, sj):
+                    _fold(u0, u1, i, i + st, si, sj, cut)
+                if c == 0 and si == FREE and not interior:
+                    u1[i] += P  # the face below it, on the grid's boundary
     k = len(lo)
     # lo, axis, e00, e01, e10, e11, w_plus, w_minus, p
-    terms = (lo, ax, [0] * k, [P] * k, [P] * k, [0] * k, [0] * k, [0] * k, [P] * k)
+    columns = (lo, ax, [0] * k, [P] * k, [P] * k, [0] * k, [0] * k, [0] * k, [P] * k)
+    term_of = {i * d + a: t for t, (i, a) in enumerate(zip(lo, ax))}
 
-    term_of = None  # (lower cell, axis) -> term, built when a face first needs it
+    across = [strides[:a] + strides[a + 1:] for a in range(d)]  # number a face's at
     for face, costs, weight, kind in faces:
         if not weight:
             continue
         a, s = face.axis, face.slot
         st = strides[a]
         i = sum(map(mul, face.at, across[a])) + (s - 1) * st  # the lower cell when s > 0
-        s_lo = state[i] if s else 0
-        s_hi = state[i + st] if s < dims[a] else 0
-        if s_lo == FREE and s_hi == FREE:
-            if term_of is None:
-                term_of = {j * d + b: t for t, (j, b) in enumerate(zip(lo, ax))}
+        si = state[i] if s else 0
+        sj = state[i + st] if s < dims[a] else 0
+        if si == FREE == sj:
             t = term_of.setdefault(i * d + a, len(lo))
             if t == len(lo):
-                for column, x in zip(terms, (i, a, 0, 0, 0, 0, 0, 0, 0)):
+                for column, x in zip(columns, (i, a, 0, 0, 0, 0, 0, 0, 0)):
                     column.append(x)
-            for column, c in zip(terms[2:6], costs):
-                column[t] += c
-            terms[6 + kind][t] += weight
-        elif s_lo == FREE:
-            u0[i] += costs[s_hi]
-            u1[i] += costs[2 + s_hi]
-        elif s_hi == FREE:
-            u0[i + st] += costs[2 * s_lo]
-            u1[i + st] += costs[2 * s_lo + 1]
-        else:
-            constant += costs[2 * s_lo + s_hi]
+            for column, x in zip(columns[2:6], costs):
+                column[t] += x
+            columns[6 + kind][t] += weight
+            continue
+        if FREE not in (si, sj):
             stray.append(face)
+        constant += _fold(u0, u1, i, i + st, si, sj, costs)
 
     for cell, cost in cells:
         i = sum(map(mul, cell, strides))
@@ -286,7 +261,7 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
             constant += state[i] * cost
             stray.append(cell)
 
-    return BinaryEnergy(domain, den, constant, state, u0, u1, *terms), stray
+    return BinaryEnergy(domain, den, constant, state, u0, u1, *columns), stray
 
 
 def _mode_state(domain: GridDomain, mode: Mode):
@@ -315,7 +290,7 @@ def _mode_state(domain: GridDomain, mode: Mode):
 
 
 def _numbers(domain: GridDomain, cells):
-    strides = _layout(domain.dims)[0]
+    strides = _strides(domain.dims)
     return [sum(map(mul, c, strides)) for c in cells]
 
 
@@ -449,23 +424,17 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
         state[i] = v
         u0[i] = u1[i] = 0
     keep = []
-    terms = energy.terms  # terms[2 + 2 * a + b] is the column of e_ab
+    e = (energy.e00, energy.e01, energy.e10, energy.e11)
     for t, i, j in zip(range(len(energy.lo)), energy.lo, energy.hi):
         si, sj = state[i], state[j]
-        if si == FREE:
-            if sj == FREE:
-                keep.append(t)
-                continue
-            u0[i] += terms[2 + sj][t]
-            u1[i] += terms[4 + sj][t]
-        elif sj == FREE:
-            u0[j] += terms[2 + 2 * si][t]
-            u1[j] += terms[3 + 2 * si][t]
+        if si == FREE == sj:
+            keep.append(t)
         else:
-            constant += terms[2 + 2 * si + sj][t]
+            constant += _fold(u0, u1, i, j, si, sj, [column[t] for column in e])
+    columns = (energy.lo, energy.axis, *e, energy.w_plus, energy.w_minus, energy.p)
     if len(keep) < len(energy.lo):
-        terms = [list(map(column.__getitem__, keep)) for column in terms]
-    return BinaryEnergy(energy.domain, energy.den, constant, state, u0, u1, *terms)
+        columns = [list(map(column.__getitem__, keep)) for column in columns]
+    return BinaryEnergy(energy.domain, energy.den, constant, state, u0, u1, *columns)
 
 
 def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
@@ -478,19 +447,21 @@ def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
     k = den // energy.den
     step = _scaled(lam, den)
     state = energy.state
-    lo, axis, *columns = energy.terms
-    if k > 1:
-        columns = [[k * x for x in column] for column in columns]
+
+    def scale(column: list) -> list:
+        return [k * x for x in column] if k > 1 else column
+
     return BinaryEnergy(
         energy.domain,
         den,
         k * energy.constant + step * state.count(1),
         state,
-        [k * x for x in energy.u0],
+        scale(energy.u0),
         [k * x + step if s == FREE else 0 for x, s in zip(energy.u1, state)],
-        lo,
-        axis,
-        *columns,
+        energy.lo,
+        energy.axis,
+        *map(scale, (energy.e00, energy.e01, energy.e10, energy.e11,
+                     energy.w_plus, energy.w_minus, energy.p)),
     )
 
 

@@ -382,25 +382,17 @@ def _cut_network(energy: BinaryEnergy):
             pairs.append((node[j], node[i], coeff))
 
     net = FlowNetwork()
-    arcs = []  # (tail, head, capacity): the terminal arcs, then the pairs
+    for _ in free:
+        net.add_node()
     for v, i in enumerate(free, 2):
         g = gain[i]
         if g > 0:
-            arcs.append((v, net.sink, g))
+            net.add_arc(v, net.sink, g)
         elif g < 0:
-            arcs.append((net.source, v, -g))
+            net.add_arc(net.source, v, -g)
             base += g
-
-    # what add_node and add_arc do, without their checks: these arcs are
-    # valid by construction
-    net.n_nodes += len(free)
-    adj, to, cap = net.adj, net.to, net.cap
-    adj.extend([] for _ in free)
-    for u, w, c in arcs + pairs:
-        adj[u].append(len(to))
-        adj[w].append(len(to) + 1)
-        to += (w, u)
-        cap += (c, 0)
+    for u, w, cap in pairs:
+        net.add_arc(u, w, cap)
     return net, base
 
 

@@ -102,7 +102,7 @@ def test_evaluate_matches_direct_and_naive_fullspace(rng):
         pair = rand_signed_pair(rng, d, list(d.faces()), list(d.cells()))
         check_every_subset(rng, pair, FullSpace(), d.cells(), weight)
     # a pair whose energy min cut can solve, at the unit weight
-    for _ in range(3):
+    for _ in range(25):
         d = GridDomain(rng.choice([(3, 3), (4, 2), (2, 2, 2)]))
         check_every_subset(rng, rand_submodular_pair(rng, d), FullSpace(), d.cells(), F(1))
 
