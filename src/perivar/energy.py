@@ -350,8 +350,8 @@ def assemble_excess(
     frozen out, and the exterior counts as out.  ``charged_faces`` maps a
     face to its perimeter charge; ``mass_faces`` maps a face to (weight,
     CLOSURE or INTERIOR); ``cell_masses`` count for admissible cells only.
-    The energy's ``den`` is the lcm of the denominators of every charge,
-    weight and the penalty.  In the face terms ``p`` is the charge,
+    Every charge, weight and the penalty is a Fraction or an int, and the
+    energy's ``den`` is the lcm of their denominators.  In the face terms ``p`` is the charge,
     ``w_minus`` the closure mass and ``w_plus`` minus the interior mass,
     so the margin 2p - w_plus - w_minus is negative exactly on a
     two-sided face whose closure mass exceeds twice its charge.
@@ -365,21 +365,21 @@ def assemble_excess(
         *(w for w, _rep in mass_faces.values()),
         *cell_masses.values(),
     )
-    den = math.lcm(*(Fraction(w).denominator for w in weights))
+    den = math.lcm(*(w.denominator for w in weights))
 
     def faces():
         for f, charge in charged_faces.items():
-            P = _scaled(Fraction(charge), den)
+            P = _scaled(charge, den)
             yield f, (0, P, P, 0), P, 2
         for f, (w, rep) in mass_faces.items():
-            W = _scaled(Fraction(w), den)
+            W = _scaled(w, den)
             if rep == CLOSURE:
                 yield f, (0, -W, -W, -W), W, 1
             else:
                 yield f, (0, 0, 0, -W), -W, 0
 
-    pen = _scaled(Fraction(cell_penalty), den)
-    cells = [(c, -_scaled(Fraction(w), den)) for c, w in cell_masses.items()]
+    pen = _scaled(cell_penalty, den)
+    cells = [(c, -_scaled(w, den)) for c, w in cell_masses.items()]
     if pen:
         cells += [(c, pen) for c in admissible]
     return _compile(domain, state, den, faces(), cells)[0]

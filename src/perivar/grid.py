@@ -311,10 +311,6 @@ class Region:
             return self.closure_faces()
         return self.interior_faces()
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.cells) == self.domain.cell_count
-
 
 def face_crosses(domain: GridDomain, face: Face, A: CellSet) -> bool:
     """True when the two sides of the face disagree; exterior counts as empty."""

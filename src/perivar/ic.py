@@ -5,11 +5,8 @@ mu(rep(A)) - C * P(A, variant)``: the strong IC holds iff it is <= 0.
 Every route reads the excess as one compiled energy
 (``energy.assemble_excess``): a min cut of it when it is submodular
 (every face with two admissible sides and closure mass charged, with
-weight at most 2C), subset enumeration below the cap otherwise.  Only the divergence certificate keeps a network
-of its own: one node per mass-carrying face, supplied with the face
-weight from the source and exchanging at most C with each incident cell,
-so that strong duality turns its max-flow into a sub-C field with the
-measure as divergence, with the per-face shares decoded from the flows.
+weight at most 2C), subset enumeration below the cap otherwise.  Only
+``divergence_certificate`` keeps a flow network of its own.
 """
 
 from __future__ import annotations
@@ -18,12 +15,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .energy import (
     CLOSURE,
     INTERIOR,
     FullSpace,
+    _scaled,
     assemble,
     assemble_excess,
     check_submodular,
@@ -154,100 +152,6 @@ class ExcessResult:
 
     def __iter__(self):
         return iter((self.value, self.witness))
-
-
-class _CertificateNetwork:
-    """Flow model of routing mu to the exterior through faces of capacity C.
-
-    The plain variant's excess max_A [mu(A+) - C P(A)] is supply minus the
-    max flow when no face is heavier than 2C.  A heavier face must send at
-    least w/2 - C to each side (its mandatory share) and splits the other
-    2C freely, which keeps every |sigma| <= C.  Capacities are integers
-    over twice the common denominator, since the mandatory shares may
-    halve the grain.
-    """
-
-    def __init__(self, mu: MeasureData, C: Fraction):
-        domain = mu.domain
-        self.domain = domain
-        den = 2 * math.lcm(
-            C.denominator,
-            *(w.denominator for w in mu.face_weights.values()),
-            *(w.denominator for w in mu.cell_weights.values()),
-        )
-        self.den = den
-        Cs = int(C * den)
-
-        net = FlowNetwork()
-        self.net = net
-        self.cell_node: Dict[Cell, int] = {c: net.add_node() for c in domain.cells()}
-        supply = 0
-        # per face, what the decoder reads off the flows (in units of 1/den):
-        # a massless face's (arc, sign) with sigma = sign * flow, or a mass
-        # face's (const, arc, sign) per side (lower, upper; None is the
-        # exterior) with its share into that side = const + sign * flow
-        self.sigma_arc: Dict[Face, Tuple[int, int]] = {}
-        self.share_arcs: Dict[Face, tuple] = {}
-        for face in domain.faces():
-            W = int(mu.face_weight(face) * den)
-            inc = domain.face_cells(face)
-            lo, hi = domain.lower_cell(face), domain.upper_cell(face)
-            if W > 2 * Cs:
-                mand = W // 2 - Cs
-                for c in inc:
-                    net.add_arc(net.source, self.cell_node[c], mand)
-                    supply += mand
-                sides = {lo: (mand, None, 0), hi: (mand, None, 0)}
-                # an exterior side's mandatory share simply leaves
-                if 2 * Cs > 0:
-                    f_node = net.add_node()
-                    net.add_arc(net.source, f_node, 2 * Cs)
-                    supply += 2 * Cs
-                    for c in inc:
-                        sides[c] = (mand, net.add_arc(f_node, self.cell_node[c], 2 * Cs), 1)
-                    if len(inc) == 1:
-                        sides[None] = (mand, net.add_arc(f_node, net.sink, 2 * Cs), 1)
-                self.share_arcs[face] = (sides[lo], sides[hi])
-            elif W and len(inc) == 1:
-                # modular: pays C when the cell is in, W when it is out; the
-                # supply not delivered to the cell leaves through the sink arc
-                u = self.cell_node[inc[0]]
-                net.add_arc(net.source, u, W)
-                out = net.add_arc(u, net.sink, Cs)
-                supply += W
-                sides = {inc[0]: (W, out, -1), None: (0, out, 1)}
-                self.share_arcs[face] = (sides[lo], sides[hi])
-            elif W:
-                f_node = net.add_node()
-                net.add_arc(net.source, f_node, W)
-                supply += W
-                self.share_arcs[face] = tuple(
-                    (0, net.add_arc(self.cell_node[c], f_node, Cs, Cs), -1) for c in inc
-                )
-            elif len(inc) == 2:
-                arc = net.add_arc(self.cell_node[lo], self.cell_node[hi], Cs, Cs)
-                self.sigma_arc[face] = (arc, 1)
-            else:
-                arc = net.add_arc(self.cell_node[inc[0]], net.sink, Cs)
-                self.sigma_arc[face] = (arc, 1 if hi is None else -1)
-
-        for c in sorted(mu.cell_weights):
-            W = int(mu.cell_weights[c] * den)
-            net.add_arc(net.source, self.cell_node[c], W)
-            supply += W
-        self.supply = supply
-
-    def witness_cells(self, node_set: Iterable) -> CellSet:
-        nodes = set(node_set)
-        return CellSet.of(
-            self.domain, [c for c, n in self.cell_node.items() if n in nodes]
-        )
-
-    def solve(self):
-        """Max flow; returns (CutResult, max excess over all A including empty)."""
-        result = max_flow(self.net)
-        excess = Fraction(self.supply - result.value, self.den)
-        return result, excess
 
 
 def _maximal_source_side(net: FlowNetwork) -> frozenset:
@@ -496,9 +400,11 @@ class DivergenceCertificate:
 
     ``sigma[f]`` is the through-flow across face f, signed along the +axis
     direction; ``shares[f]`` is the (lower-side, upper-side) split of the
-    face's own mass (exterior sides receive the flux carried to the sink).
-    At every cell:  div sigma = cell mass + half the mass of each incident
-    face (``residuals`` records the differences; all zero when valid).
+    face's own mass (exterior sides receive the flux carried to the sink);
+    a share is at least w/2 - C, and negative where flux from that side
+    passes through the face.  At every cell:  div sigma = cell mass + half
+    the mass of each incident face (``residuals`` records the differences;
+    all zero when valid).
     """
 
     bound: Fraction
@@ -531,56 +437,130 @@ def divergence_certificate(mu: MeasureData, C):
     Feasible iff the strong IC (plain variant) holds; on feasibility the
     flow is decoded into a verified field, otherwise the min cut yields a
     witness set with mu(A+) > C P(A) whenever one exists.
+
+    The network has one node per cell, supplied with the cell's mass.  A
+    massless face is an arc of capacity C each way between its cells (to
+    the sink on the grid boundary); a face of weight w <= 2C is a node
+    supplied with w that exchanges at most C with each incident cell (on
+    the boundary, w enters its cell and at most C leaves to the sink).  A
+    heavier face must send at least w/2 - C to each side (its mandatory
+    share) and splits the other 2C freely, which keeps every |sigma| <= C.
+    With no face heavier than 2C, the plain variant's excess
+    max_A [mu(A+) - C P(A)] is the supply minus the max flow.
+
+    Capacities are integers over den, twice the common denominator since
+    the mandatory shares may halve the grain, and so is the decode.  Each
+    face's recipe gives the shares t_lo, t_hi entering its lower and upper
+    side as a constant plus a signed arc flow, and 2 den sigma = t_hi -
+    t_lo (a massless face carrying flow f upward reads -f, f).  One pass
+    over the faces accumulates each cell's residual in units of 1/(2 den),
+    orienting every face by the grid and reading its mass from mu, so the
+    check does not trust the recipe.  Only returned entries are Fractions.
     """
     C = Fraction(C)
     if C < 0:
         raise ValueError("C must be nonnegative")
     domain = mu.domain
-    heavy = tuple(f for f, w in sorted(mu.face_weights.items()) if w > 2 * C)
-    model = _CertificateNetwork(mu, C)
-    pristine = model.net.snapshot()
-    result, slack = model.solve()
-    if slack > 0:
+    den = 2 * math.lcm(
+        C.denominator,
+        *(w.denominator for w in mu.face_weights.values()),
+        *(w.denominator for w in mu.cell_weights.values()),
+    )
+    Cs = _scaled(C, den)
+    face_mass = {f: _scaled(w, den) for f, w in mu.face_weights.items()}
+
+    net = FlowNetwork()
+    node: Dict[Cell, int] = {c: net.add_node() for c in domain.cells()}
+    supply = 0
+    heavy = []
+    # per face, the (const, arc, sign) of its lower and upper side (None is
+    # the exterior): that side's share is const + sign * the flow on arc
+    recipe = []
+    for face in domain.faces():
+        W = face_mass.get(face, 0)
+        lo, hi = domain.lower_cell(face), domain.upper_cell(face)
+        inc = [c for c in (lo, hi) if c is not None]
+        if W > 2 * Cs:
+            heavy.append(face)
+            mand = W // 2 - Cs
+            for c in inc:
+                net.add_arc(net.source, node[c], mand)
+                supply += mand
+            sides = {lo: (mand, None, 0), hi: (mand, None, 0)}
+            # an exterior side's mandatory share simply leaves
+            if Cs:
+                f_node = net.add_node()
+                net.add_arc(net.source, f_node, 2 * Cs)
+                supply += 2 * Cs
+                for c in inc:
+                    sides[c] = (mand, net.add_arc(f_node, node[c], 2 * Cs), 1)
+                if len(inc) == 1:
+                    sides[None] = (mand, net.add_arc(f_node, net.sink, 2 * Cs), 1)
+            recipe.append((sides[lo], sides[hi]))
+        elif W and len(inc) == 1:
+            # modular: pays C when the cell is in, W when it is out; the
+            # supply not delivered to the cell leaves through the sink arc
+            u = node[inc[0]]
+            net.add_arc(net.source, u, W)
+            out = net.add_arc(u, net.sink, Cs)
+            supply += W
+            sides = {inc[0]: (W, out, -1), None: (0, out, 1)}
+            recipe.append((sides[lo], sides[hi]))
+        elif W:
+            f_node = net.add_node()
+            net.add_arc(net.source, f_node, W)
+            supply += W
+            recipe.append(tuple((0, net.add_arc(node[c], f_node, Cs, Cs), -1) for c in inc))
+        else:
+            if len(inc) == 2:
+                arc, sign = net.add_arc(node[lo], node[hi], Cs, Cs), 1
+            else:
+                arc, sign = net.add_arc(node[inc[0]], net.sink, Cs), 1 if hi is None else -1
+            recipe.append(((0, arc, -sign), (0, arc, sign)))
+
+    for c in sorted(mu.cell_weights):
+        W = _scaled(mu.cell_weights[c], den)
+        net.add_arc(net.source, node[c], W)
+        supply += W
+
+    pristine = net.snapshot()
+    result = max_flow(net)
+    if supply > result.value:
         # min-cut source side refutes routing; for weights <= 2C the deficit
         # is exactly the maximal excess mu(A+) - C P(A) of that set
-        witness = model.witness_cells(result.source_side)
         return Infeasible(
-            witness=witness,
-            excess=slack if not heavy else None,
-            overloaded_faces=heavy,
+            witness=CellSet.of(domain, [c for c, v in node.items() if v in result.source_side]),
+            excess=None if heavy else Fraction(supply - result.value, den),
+            overloaded_faces=tuple(heavy),
         )
 
-    den = model.den
-    half = Fraction(1, 2)
-    cap = model.net.cap
+    cap = net.cap
+    residual = dict.fromkeys(node, 0)
+    for c, w in mu.cell_weights.items():
+        residual[c] = -2 * _scaled(w, den)
     sigma: Dict[Face, Fraction] = {}
     shares: Dict[Face, Tuple[Fraction, Fraction]] = {}
-    for face in domain.faces():
-        if face in model.sigma_arc:
-            arc, sign = model.sigma_arc[face]
-            sigma[face] = Fraction(sign * (pristine[arc] - cap[arc]), den)
-            continue
+    for face, sides in zip(domain.faces(), recipe):
         t_lo, t_hi = (
-            Fraction(const + (sign * (pristine[arc] - cap[arc]) if arc is not None else 0), den)
-            for const, arc, sign in model.share_arcs[face]
+            const if arc is None else const + sign * (pristine[arc] - cap[arc])
+            for const, arc, sign in sides
         )
-        sigma[face] = (t_hi - t_lo) * half
-        shares[face] = (t_lo, t_hi)
-
-    residuals: Dict[Cell, Fraction] = {}
-    for cell in domain.cells():
-        div = ZERO
-        demand = mu.cell_weight(cell)
-        for f in domain.cell_faces(cell):
-            if domain.lower_cell(f) == cell:
-                div += sigma[f]
-            else:
-                div -= sigma[f]
-            demand += mu.face_weight(f) * half
-        residuals[cell] = div - demand
+        flux = t_hi - t_lo  # 2 den sigma
+        sigma[face] = Fraction(flux, 2 * den)
+        W = face_mass.get(face, 0)
+        if W:
+            shares[face] = (Fraction(t_lo, den), Fraction(t_hi, den))
+        lo, hi = domain.lower_cell(face), domain.upper_cell(face)
+        if lo is not None:
+            residual[lo] += flux - W
+        if hi is not None:
+            residual[hi] -= flux + W
 
     cert = DivergenceCertificate(
-        bound=C, sigma=sigma, shares=shares, residuals=residuals
+        bound=C,
+        sigma=sigma,
+        shares=shares,
+        residuals={c: Fraction(r, 2 * den) for c, r in residual.items()},
     )
     if not cert.valid:
         raise AssertionError("decoded certificate failed verification")

@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import perivar
@@ -85,3 +87,28 @@ def test_benchmark_forced_probe_count():
     assert metrics["ic.forced_probes"][0] == 100
     assert metrics["maxflow.augment.calls"][0] == 101
     assert metrics["maxflow.max_flow.calls"][0] == 1
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class whose name appears nowhere but in its own
+    # definition is dead code; dunder names are called by the language
+    root = SRC.parent.parent
+    words = Counter(
+        word
+        for folder in ("src", "tests", "perfbench", "scripts")
+        for path in sorted((root / folder).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+    unused = [
+        f"{site}: {name}"
+        for name, sites in sorted(defined.items())
+        if not (name.startswith("__") and name.endswith("__"))
+        and words[name] <= len(sites)
+        for site in sites
+    ]
+    assert not unused, "defined but never referenced: " + ", ".join(unused)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_measure, rand_weight
+from conftest import as_raw, face_of, rand_measure, rand_weight
 from perivar import (
     CellSet,
     DivergenceCertificate,
@@ -350,6 +350,90 @@ def test_divergence_certificate_zero_and_cells():
     res = divergence_certificate(MeasureData(d, cell_weights={(1, 1): F(5)}), 1)
     assert isinstance(res, Infeasible)
     assert res.excess == 5 - 4
+
+
+def test_divergence_certificate_against_naive_divergence(rng):
+    # sigma and the shares are checked cell by cell against the raw weights
+    # and tests/naive.py's face sides, never through cert.valid or residuals
+    seen = dict.fromkeys(
+        ("feasible", "infeasible", "heavy interior", "heavy boundary", "boundary mass"), 0
+    )
+    for trial in range(120):
+        dims = ((7,), (3, 3), (2, 4), (2, 2, 2))[trial % 4]
+        d = GridDomain(dims)
+        # 2/5 and 3/7: denominators that divide no weight
+        C = rng.choice([F(0), F(1, 2), F(1), F(3, 2), F(2, 5), F(3, 7)])
+        faces = naive.all_faces(dims)
+        boundary = [f for f in faces if None in naive.face_sides(dims, f)]
+        picked = rng.sample(faces, rng.randint(0, 3)) + rng.sample(boundary, rng.randint(0, 2))
+        mu = MeasureData(
+            d,
+            face_weights={face_of(f): rand_weight(rng, 0, 3) for f in picked},
+            cell_weights={c: rand_weight(rng, 0, 2) for c in rng.sample(d.cells(), rng.randint(0, 2))},
+        )
+        fw, cw = as_raw(mu)
+        heavy = sorted(f for f, w in fw.items() if w > 2 * C)
+        # without heavy faces, routing is feasible iff the IC holds
+        best = None if heavy else naive.max_excess(dims, fw, cw, C)[0]
+        res = divergence_certificate(mu, C)
+        if isinstance(res, Infeasible):
+            seen["infeasible"] += 1
+            assert [(f.axis, f.slot, f.at) for f in res.overloaded_faces] == heavy
+            A = res.witness.cells
+            assert naive.closure_mass(dims, A, fw, cw) - C * naive.perimeter(dims, A) > 0
+            if not heavy:
+                assert res.excess == best
+            continue
+        seen["feasible"] += 1
+        assert heavy or best <= 0
+        sigma = {(f.axis, f.slot, f.at): s for f, s in res.sigma.items()}
+        shares = {(f.axis, f.slot, f.at): t for f, t in res.shares.items()}
+        assert sorted(sigma) == sorted(faces) and sorted(shares) == sorted(fw)
+        residual = {c: -cw.get(c, 0) for c in naive.all_cells(dims)}
+        for f in faces:
+            lo, hi = naive.face_sides(dims, f)
+            w = fw.get(f, F(0))
+            assert abs(sigma[f]) <= C
+            if lo is not None:
+                residual[lo] += sigma[f] - w / 2
+            if hi is not None:
+                residual[hi] -= sigma[f] + w / 2
+        assert all(r == 0 for r in residual.values()), residual
+        for f, (t_lo, t_hi) in shares.items():
+            w = fw[f]
+            # a light face may pass flux through, so only a heavy face's
+            # shares are bounded below by a positive mandatory share
+            assert t_lo + t_hi == w and t_hi - t_lo == 2 * sigma[f]
+            assert min(t_lo, t_hi) >= w / 2 - C
+            if f in heavy:
+                seen["heavy boundary" if f in boundary else "heavy interior"] += 1
+            elif f in boundary:
+                seen["boundary mass"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_divergence_certificate_self_check_catches_a_moved_unit(monkeypatch):
+    d = GridDomain((4, 4))
+    mu = MeasureData(d, face_weights={Face(1, 2, (1,)): F(3, 2)}, cell_weights={(2, 2): F(1)})
+    cell_nodes = range(2, 2 + d.cell_count)
+
+    def shifted(net):
+        # after the solve, one more unit crosses one residual cell-to-cell arc
+        result = ic_max_flow(net)
+        arc = next(
+            i
+            for i in range(len(net.to))
+            if net.to[i] in cell_nodes and net.to[i ^ 1] in cell_nodes and net.cap[i] > 0
+        )
+        net.cap[arc] -= 1
+        net.cap[arc ^ 1] += 1
+        return result
+
+    assert divergence_certificate(mu, 1).valid
+    ic_max_flow = ic.max_flow
+    monkeypatch.setattr(ic, "max_flow", shifted)
+    with pytest.raises(AssertionError, match="decoded certificate failed verification"):
+        divergence_certificate(mu, 1)
 
 
 def brute_capacity(domain, faces=(), cells=()):
