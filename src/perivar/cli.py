@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 solver error
 (non-submodular energy — report serialized to stderr — an instance too
-large for exhaustive search, or an internal failure: a recursion limit or
-a self-check of the library that did not hold).
+large for exhaustive search, a solve that ran out of memory, or an
+internal failure: a recursion limit or a self-check of the library that
+did not hold).
 """
 
 from __future__ import annotations
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (ExhaustiveCapacityExceeded, RecursionError, AssertionError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_SOLVER
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_SOLVER
     except (
         CliInputError,

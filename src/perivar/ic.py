@@ -21,7 +21,9 @@ from .energy import (
     CLOSURE,
     INTERIOR,
     FullSpace,
+    _numbers,
     _scaled,
+    _strides,
     assemble,
     assemble_excess,
     check_submodular,
@@ -38,7 +40,7 @@ from .maxflow import (
     max_flow,
     minimize,
 )
-from .measure import MeasureData, are_mutually_singular
+from .measure import MeasureData, SignedPair, are_mutually_singular, sum_measures
 from .oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded, _scan, scan_excess
 
 ZERO = Fraction(0)
@@ -124,8 +126,12 @@ def _central_box(domain: GridDomain, radius: int) -> frozenset:
     )
 
 
-def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant) -> dict:
+def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant, cell_penalty=ZERO) -> dict:
     """The variant's excess as keyword arguments of ``scan_excess``/``assemble_excess``."""
+    if C < 0:
+        raise ValueError("C must be nonnegative")
+    if cell_penalty < 0:
+        raise ValueError("cell penalty must be nonnegative")
     domain = mu.domain
     admissible = domain.cells()
     charged = domain.faces()
@@ -136,6 +142,8 @@ def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant) -> dict:
         admissible = frozenset(admissible) - _central_box(domain, variant.radius)
     if variant.kind in _RELATIVE_KINDS:
         charged = variant.omega.interior_faces()
+    if not admissible:
+        raise ValueError("variant admits no test sets on this grid")
     return dict(
         admissible=sorted(admissible),
         charged_faces=dict.fromkeys(charged, C),
@@ -197,18 +205,11 @@ def strong_excess(
     the inclusion-minimal maximizer holding it, so it holds no earlier cell.
     """
     C = Fraction(C)
-    if C < 0:
-        raise ValueError("C must be nonnegative")
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
     domain = mu.domain
-    terms = _excess_terms(mu, C, variant)
+    terms = _excess_terms(mu, C, variant, cell_penalty)
     admissible = terms["admissible"]
-    if not admissible:
-        raise ValueError("variant admits no test sets on this grid")
-
-    if cell_penalty < 0:
-        raise ValueError("cell penalty must be nonnegative")
 
     report = None
     if method != "exhaustive":
@@ -310,10 +311,8 @@ def small_volume_profile(
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
     domain = mu.domain
-    terms = _excess_terms(mu, C, variant)
+    terms = _excess_terms(mu, C, variant, cell_penalty)
     admissible = terms["admissible"]
-    if not admissible:
-        raise ValueError("variant admits no test sets on this grid")
     if v_max is None:
         v_max = len(admissible)
     v_max = min(int(v_max), len(admissible))
@@ -431,6 +430,18 @@ class Infeasible:
     overloaded_faces: tuple  # faces whose weight exceeds 2C (never routable)
 
 
+def _face_sides(dims: tuple):
+    """(lower, upper) cell numbers of every face, in ``GridDomain.faces()``
+    order; None stands for the exterior."""
+    n = math.prod(dims)
+    for st, m in zip(_strides(dims), dims):
+        # the cells on the axis's first layer, in the order of a face's ``at``
+        first = [i for i in range(n) if i // st % m == 0]
+        for s in range(m + 1):
+            for i in first:
+                yield (i + (s - 1) * st if s else None, i + s * st if s < m else None)
+
+
 def divergence_certificate(mu: MeasureData, C):
     """Route mu to the exterior through faces of capacity C, or refute.
 
@@ -438,24 +449,27 @@ def divergence_certificate(mu: MeasureData, C):
     flow is decoded into a verified field, otherwise the min cut yields a
     witness set with mu(A+) > C P(A) whenever one exists.
 
-    The network has one node per cell, supplied with the cell's mass.  A
-    massless face is an arc of capacity C each way between its cells (to
-    the sink on the grid boundary); a face of weight w <= 2C is a node
-    supplied with w that exchanges at most C with each incident cell (on
-    the boundary, w enters its cell and at most C leaves to the sink).  A
-    heavier face must send at least w/2 - C to each side (its mandatory
-    share) and splits the other 2C freely, which keeps every |sigma| <= C.
-    With no face heavier than 2C, the plain variant's excess
-    max_A [mu(A+) - C P(A)] is the supply minus the max flow.
+    The network has one node per cell (cell number i is node i + 2) and no
+    other.  A face of weight w between two cells adds w/2 to each cell's
+    supply and joins them by an arc carrying sigma, C - w/2 each way when
+    w <= 2C (left out at 0) and C each way when w > 2C.  A light face thus
+    gives each side a share in [w - C, C], as a node of the face supplied
+    with w and trading at most C with each side would; a heavy face gives
+    each side its mandatory w/2 - C plus a free split of 2C, an intake
+    anywhere in [w/2 - C, w/2 + C], so |sigma| <= C.  A boundary face adds
+    w to its cell's supply and has a sink arc of its own of C, or adds
+    w/2 + C and has one of 2C when w > 2C.  With no face heavier than 2C,
+    the plain variant's excess max_A [mu(A+) - C P(A)] is the supply minus
+    the max flow.
 
-    Capacities are integers over den, twice the common denominator since
-    the mandatory shares may halve the grain, and so is the decode.  Each
-    face's recipe gives the shares t_lo, t_hi entering its lower and upper
-    side as a constant plus a signed arc flow, and 2 den sigma = t_hi -
-    t_lo (a massless face carrying flow f upward reads -f, f).  One pass
-    over the faces accumulates each cell's residual in units of 1/(2 den),
-    orienting every face by the grid and reading its mass from mu, so the
-    check does not trust the recipe.  Only returned entries are Fractions.
+    Capacities are integers over den, twice the common denominator, so
+    w/2 is one too.  An interior arc carrying f upward gives the shares
+    t_lo, t_hi = w/2 -+ f; a sink arc carrying y leaves its cell what the
+    face supplied less y, and the exterior the rest; 2 den sigma = t_hi -
+    t_lo.  One pass over the faces accumulates each cell's residual in
+    units of 1/(2 den), with face sides from the grid's strides and masses
+    from mu, so the check does not trust the flow.  Only returned entries
+    are Fractions.
     """
     C = Fraction(C)
     if C < 0:
@@ -468,89 +482,63 @@ def divergence_certificate(mu: MeasureData, C):
     )
     Cs = _scaled(C, den)
     face_mass = {f: _scaled(w, den) for f, w in mu.face_weights.items()}
+    cells = domain.cells()
+    cell_mass = [0] * len(cells)
+    for i, w in zip(_numbers(domain, mu.cell_weights), mu.cell_weights.values()):
+        cell_mass[i] = _scaled(w, den)
 
     net = FlowNetwork()
-    node: Dict[Cell, int] = {c: net.add_node() for c in domain.cells()}
-    supply = 0
+    for _ in cells:
+        net.add_node()
+    supply = list(cell_mass)
     heavy = []
-    # per face, the (const, arc, sign) of its lower and upper side (None is
-    # the exterior): that side's share is const + sign * the flow on arc
+    # per face: its sides' cell numbers, weight, arc and, on the boundary,
+    # what it supplies to its cell
     recipe = []
-    for face in domain.faces():
+    for face, (lo, hi) in zip(domain.faces(), _face_sides(domain.dims)):
         W = face_mass.get(face, 0)
-        lo, hi = domain.lower_cell(face), domain.upper_cell(face)
-        inc = [c for c in (lo, hi) if c is not None]
         if W > 2 * Cs:
             heavy.append(face)
-            mand = W // 2 - Cs
-            for c in inc:
-                net.add_arc(net.source, node[c], mand)
-                supply += mand
-            sides = {lo: (mand, None, 0), hi: (mand, None, 0)}
-            # an exterior side's mandatory share simply leaves
-            if Cs:
-                f_node = net.add_node()
-                net.add_arc(net.source, f_node, 2 * Cs)
-                supply += 2 * Cs
-                for c in inc:
-                    sides[c] = (mand, net.add_arc(f_node, node[c], 2 * Cs), 1)
-                if len(inc) == 1:
-                    sides[None] = (mand, net.add_arc(f_node, net.sink, 2 * Cs), 1)
-            recipe.append((sides[lo], sides[hi]))
-        elif W and len(inc) == 1:
-            # modular: pays C when the cell is in, W when it is out; the
-            # supply not delivered to the cell leaves through the sink arc
-            u = node[inc[0]]
-            net.add_arc(net.source, u, W)
-            out = net.add_arc(u, net.sink, Cs)
-            supply += W
-            sides = {inc[0]: (W, out, -1), None: (0, out, 1)}
-            recipe.append((sides[lo], sides[hi]))
-        elif W:
-            f_node = net.add_node()
-            net.add_arc(net.source, f_node, W)
-            supply += W
-            recipe.append(tuple((0, net.add_arc(node[c], f_node, Cs, Cs), -1) for c in inc))
-        else:
-            if len(inc) == 2:
-                arc, sign = net.add_arc(node[lo], node[hi], Cs, Cs), 1
-            else:
-                arc, sign = net.add_arc(node[inc[0]], net.sink, Cs), 1 if hi is None else -1
-            recipe.append(((0, arc, -sign), (0, arc, sign)))
+        if lo is None or hi is None:
+            c = hi if lo is None else lo
+            given, out = (W // 2 + Cs, 2 * Cs) if W > 2 * Cs else (W, Cs)
+            supply[c] += given
+            recipe.append((lo, hi, W, net.add_arc(c + 2, net.sink, out), given))
+            continue
+        supply[lo] += W // 2
+        supply[hi] += W // 2
+        each = Cs if W > 2 * Cs else Cs - W // 2
+        recipe.append((lo, hi, W, net.add_arc(lo + 2, hi + 2, each, each) if each else None, 0))
+    for i, s in enumerate(supply):
+        if s:
+            net.add_arc(net.source, i + 2, s)
+    total = sum(supply)
 
-    for c in sorted(mu.cell_weights):
-        W = _scaled(mu.cell_weights[c], den)
-        net.add_arc(net.source, node[c], W)
-        supply += W
-
-    pristine = net.snapshot()
     result = max_flow(net)
-    if supply > result.value:
+    if total > result.value:
         # min-cut source side refutes routing; for weights <= 2C the deficit
         # is exactly the maximal excess mu(A+) - C P(A) of that set
         return Infeasible(
-            witness=CellSet.of(domain, [c for c, v in node.items() if v in result.source_side]),
-            excess=None if heavy else Fraction(supply - result.value, den),
+            witness=CellSet.of(domain, [cells[v - 2] for v in result.source_side if v > 1]),
+            excess=None if heavy else Fraction(total - result.value, den),
             overloaded_faces=tuple(heavy),
         )
 
     cap = net.cap
-    residual = dict.fromkeys(node, 0)
-    for c, w in mu.cell_weights.items():
-        residual[c] = -2 * _scaled(w, den)
+    residual = [-2 * m for m in cell_mass]
     sigma: Dict[Face, Fraction] = {}
     shares: Dict[Face, Tuple[Fraction, Fraction]] = {}
-    for face, sides in zip(domain.faces(), recipe):
-        t_lo, t_hi = (
-            const if arc is None else const + sign * (pristine[arc] - cap[arc])
-            for const, arc, sign in sides
-        )
+    for face, (lo, hi, W, arc, given) in zip(domain.faces(), recipe):
+        if lo is None or hi is None:
+            t = given - cap[arc ^ 1]  # the cell's share: the face's supply less the outflow
+            t_lo, t_hi = (W - t, t) if lo is None else (t, W - t)
+        else:
+            f = 0 if arc is None else (cap[arc ^ 1] - cap[arc]) // 2
+            t_lo, t_hi = W // 2 - f, W // 2 + f
         flux = t_hi - t_lo  # 2 den sigma
         sigma[face] = Fraction(flux, 2 * den)
-        W = face_mass.get(face, 0)
         if W:
             shares[face] = (Fraction(t_lo, den), Fraction(t_hi, den))
-        lo, hi = domain.lower_cell(face), domain.upper_cell(face)
         if lo is not None:
             residual[lo] += flux - W
         if hi is not None:
@@ -560,7 +548,7 @@ def divergence_certificate(mu: MeasureData, C):
         bound=C,
         sigma=sigma,
         shares=shares,
-        residuals={c: Fraction(r, 2 * den) for c, r in residual.items()},
+        residuals={c: Fraction(r, 2 * den) for c, r in zip(cells, residual)},
     )
     if not cert.valid:
         raise AssertionError("decoded certificate failed verification")
@@ -604,8 +592,6 @@ def capacity(
             forced_in.add(inc[0])
         else:
             or_faces.append(inc)
-
-    from .measure import SignedPair
 
     base = assemble(SignedPair.zero(domain), FullSpace())
     pairs = [inc for inc in or_faces if forced_in.isdisjoint(inc)]
@@ -693,7 +679,6 @@ def singular_sum_check(
     _check_same_domain(mu1, mu2)
     if not are_mutually_singular(mu1, mu2):
         raise ValueError("measures are not mutually singular")
-    from .measure import sum_measures
 
     kwargs = dict(variant=variant, exhaustive_cap=exhaustive_cap)
     p1 = small_volume_profile(mu1, C, v_max=v_max, **kwargs)

@@ -254,6 +254,24 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
     assert "Traceback" not in err
 
 
+def test_memory_error_exits_3(tmp_path, capsys):
+    # a 62-face target across 62x62 asks the frontier sweep for a list of
+    # 2**62 entries, which CPython refuses before allocating anything; a
+    # narrower grid would really try to allocate, so keep this width
+    doc = {
+        "grid": {"dims": [62, 62]},
+        "problem": {
+            "kind": "capacity",
+            "faces": [{"axis": 1, "slot": 31, "at": [x]} for x in range(62)],
+        },
+    }
+    problem = write_problem(tmp_path, doc)
+    args = ["ic", "capacity", "--problem", problem, "--out", str(tmp_path / "o")]
+    assert main(args + ["--cap", "200"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+
+
 def test_variant_options(tmp_path, capsys):
     # an avoid-ball variant needs a radius: one error line, exit 2
     doc = line_problem()

@@ -285,6 +285,19 @@ def test_profile_envelope_brackets_truth():
             assert e.phi == truth
 
 
+@pytest.mark.parametrize("entry", [strong_excess, small_volume_profile])
+@pytest.mark.parametrize("cap", [DEFAULT_EXHAUSTIVE_CAP, 0])  # 9 cells: below, above
+@pytest.mark.parametrize("bad", [{"C": -1}, {"cell_penalty": -1}, {"variant": "empty"}])
+def test_excess_entry_points_validate_on_both_sides_of_the_cap(entry, cap, bad):
+    d = GridDomain((3, 3))
+    mu = hyperplane_measure(d, 1, 1, F(2))
+    kwargs = {"C": 1, "variant": None, "cell_penalty": 0, "exhaustive_cap": cap, **bad}
+    if kwargs["variant"] == "empty":
+        kwargs["variant"] = ICVariant.relative(Region.of(d, []))
+    with pytest.raises(ValueError, match="must be nonnegative|admits no test sets"):
+        entry(mu, **kwargs)
+
+
 def test_divergence_certificate_random_duality(rng):
     mismatches = 0
     for _ in range(60):
@@ -434,6 +447,31 @@ def test_divergence_certificate_self_check_catches_a_moved_unit(monkeypatch):
     monkeypatch.setattr(ic, "max_flow", shifted)
     with pytest.raises(AssertionError, match="decoded certificate failed verification"):
         divergence_certificate(mu, 1)
+
+
+def test_divergence_certificate_network_has_one_node_per_cell(monkeypatch):
+    light = MeasureData(
+        GridDomain((4, 4)), face_weights={Face(1, 2, (1,)): F(3, 2)}, cell_weights={(2, 2): F(1)}
+    )
+    heavy_interior = hyperplane_measure(GridDomain((8, 8)), 1, 4, F(4))
+    heavy_boundary = hyperplane_measure(GridDomain((4, 4)), 1, 0, F(9, 4))
+    nodes = []
+
+    def counted(net):
+        nodes.append(net.n_nodes)
+        return ic_max_flow(net)
+
+    def no_face_sides(self, face):
+        raise RuntimeError("face sides come from stride arithmetic")
+
+    ic_max_flow = ic.max_flow
+    monkeypatch.setattr(ic, "max_flow", counted)
+    monkeypatch.setattr(GridDomain, "lower_cell", no_face_sides)
+    monkeypatch.setattr(GridDomain, "upper_cell", no_face_sides)
+    assert divergence_certificate(light, 1).valid
+    assert isinstance(divergence_certificate(heavy_interior, 1), Infeasible)
+    assert divergence_certificate(heavy_boundary, 1).valid
+    assert nodes == [mu.domain.cell_count + 2 for mu in (light, heavy_interior, heavy_boundary)]
 
 
 def brute_capacity(domain, faces=(), cells=()):
