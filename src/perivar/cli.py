@@ -78,6 +78,12 @@ def _resolve_cap_for(pf: ProblemFile, flag: Optional[int]) -> int:
     return resolve_cap(flag, pf.options.get("exhaustive_cap"))
 
 
+def _write_mask(path: Path, A) -> None:
+    """PGM mask of A on 1D and 2D grids; the JSON report lists A's cells."""
+    if A.domain.d <= 2:
+        write_mask(path, A)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,13 +133,14 @@ def cmd_minimize(args) -> int:
     cap = _resolve_cap_for(pf, args.cap)
     result = _solve_from_problem(pf, cap)
     out = _out_dir(args)
-    write_mask(out / "minimizer.pgm", result.minimizer)
+    _write_mask(out / "minimizer.pgm", result.minimizer)
     write_json(
         out / "result.json",
         {
             "value": result.value,
             "exactness": result.exactness,
             "certificate": result.certificate,
+            "minimizer": result.minimizer,
             "minimizer_volume": result.minimizer.volume,
         },
     )
@@ -164,7 +171,7 @@ def cmd_ic(args) -> int:
                 "witness_volume": res.witness.volume,
             },
         )
-        write_mask(out / "witness.pgm", res.witness)
+        _write_mask(out / "witness.pgm", res.witness)
         print(f"excess = {format_rational(res.value)}")
         print(f"strong IC holds: {res.value <= 0}")
         return EXIT_OK
@@ -208,7 +215,7 @@ def cmd_ic(args) -> int:
                 },
             )
             if outcome.witness is not None:
-                write_mask(out / "witness.pgm", outcome.witness)
+                _write_mask(out / "witness.pgm", outcome.witness)
             print("infeasible")
             return EXIT_OK
         write_json(
@@ -234,7 +241,7 @@ def cmd_ic(args) -> int:
             out / "report.json",
             {"capacity": value, "witness": witness, "witness_volume": witness.volume},
         )
-        write_mask(out / "witness.pgm", witness)
+        _write_mask(out / "witness.pgm", witness)
         print(format_rational(value))
         return EXIT_OK
 

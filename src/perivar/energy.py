@@ -17,9 +17,11 @@ from the mode's cell mask and from each measure face's axis, slot and
 transverse coordinates; no ``Face`` is built on the way.
 
 ``assemble_excess`` compiles the isoperimetric excess
-``mass(rep A) - sum of charges on crossed faces - penalty |A|`` into the
-same form, negated, so the min cut, the Gray-code scan and single-cell
-flip scoring (``flip_links``) all read one energy.  Its only
+``mu(rep A) - C P(A) - penalty |A|`` into the same form, negated, so the
+min cut, the Gray-code scan and single-cell flip scoring (``flip_links``)
+all read one energy.  A test class is a mask of admissible cells, the
+rest frozen out, and C is charged on that mask's perimeter exactly as
+``assemble`` charges its own, optionally only within a region.  Its only
 non-submodular faces are two-sided faces whose closure mass exceeds
 twice their charge.
 """
@@ -41,7 +43,7 @@ from .grid import (
     Region,
     _check_same_domain,
 )
-from .measure import SignedPair
+from .measure import MeasureData, SignedPair
 
 # Representative of a mass face in an excess: CLOSURE counts it when a
 # test set holds at least one incident cell, INTERIOR when it holds both.
@@ -193,16 +195,16 @@ def _fold(u0: list, u1: list, i: int, j: int, si: int, sj: int, table) -> int:
 
 
 def _compile(domain: GridDomain, state: list, den: int, faces, cells,
-             perimeter: int = 0, interior: bool = False):
+             perimeter: int = 0, within: Optional[bytearray] = None):
     """(energy over cells in the given states with these costs, strays).
 
     ``perimeter`` charges every face of the cell mask's perimeter: the
     faces touching a free cell (exterior and frozen sides alike), or with
-    ``interior`` only the faces between two free cells.  ``faces`` yields
-    (face, (c00, c01, c10, c11), weight, kind): costs ``c_ij`` with the
-    lower side at state i and the upper at j, the exterior being out, and
-    the weight recorded in w_plus (kind 0), w_minus (1) or p (2) when the
-    face joins two free cells.  ``cells`` yields (cell, cost when in).
+    a mask ``within`` by cell number only those between two of its cells.
+    ``faces`` yields (face, (c00, c01, c10, c11), weight, kind): costs
+    ``c_ij`` with the lower side at state i and the upper at j, the
+    exterior being out, and the weight recorded in w_plus (kind 0) or
+    w_minus (1) when the face joins two free cells.  ``cells`` yields (cell, cost when in).
     The strays are the faces and cells that touch no free cell.
     """
     dims = domain.dims
@@ -218,14 +220,17 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
         for a, (st, m) in enumerate(zip(strides, dims)):
             for i, si in enumerate(state):  # the face above cell i on axis a
                 c = i // st % m
+                if within is None:
+                    if c == 0 and si == FREE:
+                        u1[i] += P  # the face below it, on the grid's boundary
+                elif c == m - 1 or not (within[i] and within[i + st]):
+                    continue
                 sj = state[i + st] if c < m - 1 else 0  # the exterior is out
                 if si == FREE == sj:
                     lo.append(i)
                     ax.append(a)
-                elif not interior and FREE in (si, sj):
+                elif FREE in (si, sj):
                     _fold(u0, u1, i, i + st, si, sj, cut)
-                if c == 0 and si == FREE and not interior:
-                    u1[i] += P  # the face below it, on the grid's boundary
     k = len(lo)
     # lo, axis, e00, e01, e10, e11, w_plus, w_minus, p
     columns = (lo, ax, [0] * k, [P] * k, [P] * k, [0] * k, [0] * k, [0] * k, [P] * k)
@@ -265,33 +270,37 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
 
 
 def _mode_state(domain: GridDomain, mode: Mode):
-    """(per-cell states, whether the perimeter counts interior faces only)."""
+    """(per-cell states, the mask charged faces lie within or None)."""
     n = domain.cell_count
     if isinstance(mode, FullSpace):
-        return [FREE] * n, False
-    if isinstance(mode, Dirichlet):
-        _check_same_domain(mode.a0, mode.omega)
-        if mode.a0.domain != domain:
-            raise ValueError("Dirichlet data bound to a different domain")
-        state = [0] * n
-        for i in _numbers(domain, mode.a0.cells):
-            state[i] = 1
-        omega, interior = mode.omega, False
-    elif isinstance(mode, Relative):
+        return [FREE] * n, None
+    if isinstance(mode, Relative):
         if mode.omega.domain != domain:
             raise ValueError("Relative region bound to a different domain")
-        state = [0] * n
-        omega, interior = mode.omega, True
-    else:
+        within = _mask(domain, mode.omega.cells)
+        return [FREE if x else 0 for x in within], within
+    if not isinstance(mode, Dirichlet):
         raise TypeError(f"unknown mode {mode!r}")
-    for i in _numbers(domain, omega.cells):
+    _check_same_domain(mode.a0, mode.omega)
+    if mode.a0.domain != domain:
+        raise ValueError("Dirichlet data bound to a different domain")
+    state = list(_mask(domain, mode.a0.cells))
+    for i in _numbers(domain, mode.omega.cells):
         state[i] = FREE
-    return state, interior
+    return state, None
 
 
 def _numbers(domain: GridDomain, cells):
     strides = _strides(domain.dims)
     return [sum(map(mul, c, strides)) for c in cells]
+
+
+def _mask(domain: GridDomain, cells) -> bytearray:
+    """1 at the numbers of the given cells, 0 elsewhere."""
+    mask = bytearray(domain.cell_count)
+    for i in _numbers(domain, cells):
+        mask[i] = 1
+    return mask
 
 
 def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> BinaryEnergy:
@@ -306,7 +315,7 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
     p = Fraction(perimeter_weight)
     if p < 0:
         raise ValueError("perimeter weight must be nonnegative")
-    state, interior = _mode_state(domain, mode)
+    state, within = _mode_state(domain, mode)
 
     den = p.denominator
     for mu in (pair.plus, pair.minus):
@@ -325,7 +334,7 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
 
     cells = [(c, _scaled(w, den)) for c, w in pair.plus.cell_weights.items()]
     cells += [(c, -_scaled(w, den)) for c, w in pair.minus.cell_weights.items()]
-    energy, stray = _compile(domain, state, den, faces(), cells, _scaled(p, den), interior)
+    energy, stray = _compile(domain, state, den, faces(), cells, _scaled(p, den), within)
     if stray and isinstance(mode, Dirichlet):
         bad_faces = sorted(f for f in stray if isinstance(f, Face))
         bad_cells = sorted(c for c in stray if not isinstance(c, Face))
@@ -337,41 +346,34 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
 
 
 def assemble_excess(
-    domain: GridDomain,
+    mu: MeasureData,
     admissible,
-    charged_faces: Mapping,
-    mass_faces: Mapping,
-    cell_masses: Mapping,
-    cell_penalty=Fraction(0),
+    C,
+    *,
+    rep: int = CLOSURE,
+    within: Optional[Region] = None,
+    cell_penalty=0,
 ) -> BinaryEnergy:
-    """The energy -(mass(rep A) - sum of charges on crossed faces - penalty |A|).
+    """The energy -(mu(rep A) - C P(A) - penalty |A|).
 
     Test sets A range over subsets of ``admissible``; every other cell is
-    frozen out, and the exterior counts as out.  ``charged_faces`` maps a
-    face to its perimeter charge; ``mass_faces`` maps a face to (weight,
-    CLOSURE or INTERIOR); ``cell_masses`` count for admissible cells only.
-    Every charge, weight and the penalty is a Fraction or an int, and the
-    energy's ``den`` is the lcm of their denominators.  In the face terms ``p`` is the charge,
-    ``w_minus`` the closure mass and ``w_plus`` minus the interior mass,
-    so the margin 2p - w_plus - w_minus is negative exactly on a
-    two-sided face whose closure mass exceeds twice its charge.
+    frozen out, and the exterior counts as out.  C is charged on every
+    face touching an admissible cell, or, with a region ``within``, only
+    on those between two of its cells.  ``rep`` (CLOSURE or INTERIOR)
+    applies to every face of mu.  The energy's ``den`` is the lcm of the
+    denominators of C, the penalty and mu's weights.  In the face terms
+    ``p`` is the charge, ``w_minus`` the closure mass and ``w_plus`` minus
+    the interior mass, so the margin 2p - w_plus - w_minus is negative
+    exactly on a two-sided face whose closure mass exceeds twice its charge.
     """
-    state = [0] * domain.cell_count
-    for i in _numbers(domain, admissible):
-        state[i] = FREE
-    weights = (
-        cell_penalty,
-        *charged_faces.values(),
-        *(w for w, _rep in mass_faces.values()),
-        *cell_masses.values(),
-    )
+    domain = mu.domain
+    C, cell_penalty = Fraction(C), Fraction(cell_penalty)
+    state = [FREE if x else 0 for x in _mask(domain, admissible)]
+    weights = (C, cell_penalty, *mu.face_weights.values(), *mu.cell_weights.values())
     den = math.lcm(*(w.denominator for w in weights))
 
     def faces():
-        for f, charge in charged_faces.items():
-            P = _scaled(charge, den)
-            yield f, (0, P, P, 0), P, 2
-        for f, (w, rep) in mass_faces.items():
+        for f, w in mu.face_weights.items():
             W = _scaled(w, den)
             if rep == CLOSURE:
                 yield f, (0, -W, -W, -W), W, 1
@@ -379,10 +381,11 @@ def assemble_excess(
                 yield f, (0, 0, 0, -W), -W, 0
 
     pen = _scaled(cell_penalty, den)
-    cells = [(c, -_scaled(w, den)) for c, w in cell_masses.items()]
+    cells = [(c, -_scaled(w, den)) for c, w in mu.cell_weights.items()]
     if pen:
         cells += [(c, pen) for c in admissible]
-    return _compile(domain, state, den, faces(), cells)[0]
+    mask = None if within is None else _mask(domain, within.cells)
+    return _compile(domain, state, den, faces(), cells, _scaled(C, den), mask)[0]
 
 
 def flip_links(energy: BinaryEnergy):
@@ -527,10 +530,10 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
     from .measure import mass_on_closure, mass_on_interior
 
     domain = pair.domain
-    _, interior = _mode_state(domain, mode)
+    _mode_state(domain, mode)  # validates the mode
     if isinstance(mode, FullSpace):
         perim_faces = domain.faces()
-    elif interior:
+    elif isinstance(mode, Relative):
         perim_faces = mode.omega.interior_faces()
     else:
         perim_faces = mode.omega.closure_faces()

@@ -8,7 +8,7 @@ columns report, they do not extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -58,15 +58,7 @@ def write_report(report: ScenarioReport, outdir) -> ScenarioReport:
         svg_path = outdir / f"{name}.svg"
         write_svg(svg_path, domain, mask, pair)
         artifacts.append(str(svg_path))
-    final = ScenarioReport(
-        scenario=report.scenario,
-        params=report.params,
-        columns=report.columns,
-        rows=report.rows,
-        verdicts=report.verdicts,
-        frames=report.frames,
-        artifacts=tuple(artifacts + [str(json_path)]),
-    )
+    final = replace(report, artifacts=tuple(artifacts + [str(json_path)]))
     write_json(
         json_path,
         {

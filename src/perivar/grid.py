@@ -174,9 +174,10 @@ class CellSet:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(self.cells))
-        for c in self.cells:
-            if not self.domain.contains_cell(c):
-                raise OutOfBoundsError(f"cell {c} outside domain {self.domain.dims}")
+        full = self.domain.full_region().cells
+        if not self.cells <= full:
+            bad = min(self.cells - full)
+            raise OutOfBoundsError(f"cell {bad} outside domain {self.domain.dims}")
 
     @staticmethod
     def empty(domain: GridDomain) -> "CellSet":

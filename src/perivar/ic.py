@@ -127,28 +127,25 @@ def _central_box(domain: GridDomain, radius: int) -> frozenset:
 
 
 def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant, cell_penalty=ZERO) -> dict:
-    """The variant's excess as keyword arguments of ``scan_excess``/``assemble_excess``."""
+    """The variant's test class as keyword arguments of ``scan_excess`` and
+    ``assemble_excess``: the admissible cells, the representative, and the
+    region whose interior faces alone are charged (None for all faces)."""
     if C < 0:
         raise ValueError("C must be nonnegative")
     if cell_penalty < 0:
         raise ValueError("cell penalty must be nonnegative")
     domain = mu.domain
     admissible = domain.cells()
-    charged = domain.faces()
-    rep = INTERIOR if variant.kind == "interior-rep" else CLOSURE
     if variant.kind == "relative":
         admissible = variant.omega.cells
     elif variant.kind == "avoid-ball":
         admissible = frozenset(admissible) - _central_box(domain, variant.radius)
-    if variant.kind in _RELATIVE_KINDS:
-        charged = variant.omega.interior_faces()
     if not admissible:
         raise ValueError("variant admits no test sets on this grid")
     return dict(
         admissible=sorted(admissible),
-        charged_faces=dict.fromkeys(charged, C),
-        mass_faces={f: (w, rep) for f, w in mu.face_weights.items()},
-        cell_masses=dict(mu.cell_weights),
+        rep=INTERIOR if variant.kind == "interior-rep" else CLOSURE,
+        within=variant.omega,
     )
 
 
@@ -204,6 +201,8 @@ def strong_excess(
     maximum; the witness, the cells reachable from it in the residual, is
     the inclusion-minimal maximizer holding it, so it holds no earlier cell.
     """
+    if method not in (None, "min-cut", "exhaustive"):
+        raise ValueError(f"unknown method {method!r}; use 'min-cut' or 'exhaustive'")
     C = Fraction(C)
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
@@ -213,12 +212,13 @@ def strong_excess(
 
     report = None
     if method != "exhaustive":
-        energy = assemble_excess(domain, **terms, cell_penalty=cell_penalty)
+        energy = assemble_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
         report = check_submodular(energy)
         if method == "min-cut" and not report.ok:
+            within = terms["within"]
             blockers = [
                 f"face {v.face}: weight exceeds 2C on a charged two-sided face"
-                if v.face in terms["charged_faces"]
+                if within is None or within.cells.issuperset(domain.face_cells(v.face))
                 else f"face {v.face}: closure mass on an uncharged two-sided face"
                 for v in report.violations
             ]
@@ -229,9 +229,9 @@ def strong_excess(
         if len(admissible) > cap:
             raise ExhaustiveCapacityExceeded(len(admissible), cap)
         if report is None:  # nothing compiled yet
-            scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
+            scan = scan_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
         else:
-            scan = _scan(domain, energy)
+            scan = _scan(energy)
         return ExcessResult(scan.best_value, scan.best_set, "exhaustive")
 
     net, base = _cut_network(energy)
@@ -310,7 +310,6 @@ def small_volume_profile(
     C = Fraction(C)
     cell_penalty = Fraction(cell_penalty)
     variant = variant or ICVariant.plain()
-    domain = mu.domain
     terms = _excess_terms(mu, C, variant, cell_penalty)
     admissible = terms["admissible"]
     if v_max is None:
@@ -321,7 +320,7 @@ def small_volume_profile(
 
     cap = resolve_cap(exhaustive_cap)
     if len(admissible) <= cap:
-        scan = scan_excess(domain, **terms, cell_penalty=cell_penalty)
+        scan = scan_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
         entries = []
         running: Optional[Fraction] = None
         for v in range(1, v_max + 1):
@@ -374,7 +373,7 @@ def small_volume_profile(
     record(lam_hi, exh, with_)
     sweep(ZERO, ex0, wit0, lam_hi, exh, with_)
 
-    energy = assemble_excess(domain, **terms, cell_penalty=cell_penalty)
+    energy = assemble_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
     best_single = Fraction(-min(flip_links(energy)[0]), energy.den)
     if 1 not in exact or best_single > exact[1]:
         exact[1] = best_single

@@ -2,13 +2,15 @@
 
 These scans walk all subsets of an admissible cell pool in Gray-code
 order, over the integers of the excess energy that
-``energy.assemble_excess`` compiles.  Each step flips one cell, and
-since every face has at most two incident cells, the value changes by an
-amount fixed by that cell and the states of its admissible neighbours:
-one lookup in a per-cell table keyed by the neighbour bits.  They are
-the enumeration side of the package's dual-route checks: exact, and
-free of the max-flow code, but sharing the compiled energy with the
-min cut; the route independent of both is ``tests/naive.py``.
+``energy.assemble_excess`` compiles from a measure, a constant C, the
+pool as a cell mask and an optional mask ``within`` for the charged
+faces.  Each step flips one cell, and since every face has at most two
+incident cells, the value changes by an amount fixed by that cell and
+the states of its admissible neighbours: one lookup in a per-cell table
+keyed by the neighbour bits.  They are the enumeration side of the
+package's dual-route checks: exact, and free of the max-flow code, but
+sharing the compiled energy with the min cut; the route independent of
+both is ``tests/naive.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import CLOSURE, BinaryEnergy, assemble_excess, flip_links
-from .grid import CellSet, Face, GridDomain
+from .grid import CellSet, GridDomain, Region
 from .measure import MeasureData
 
 
@@ -46,21 +48,21 @@ class ScanResult:
 
 
 def scan_excess(
-    domain: GridDomain,
+    mu: MeasureData,
     admissible: Sequence,
-    charged_faces: Dict[Face, Fraction],
-    mass_faces: Dict[Face, Tuple[Fraction, int]],
-    cell_masses: Dict[tuple, Fraction],
-    cell_penalty: Fraction = Fraction(0),
+    C,
+    *,
+    rep: int = CLOSURE,
+    within: Optional[Region] = None,
+    cell_penalty=0,
 ) -> ScanResult:
-    """Maximize mass(rep(A)) - sum of charges on crossed faces - penalty*|A|.
+    """Maximize mu(rep(A)) - C P(A) - penalty |A| over nonempty A <= admissible.
 
-    ``charged_faces`` maps a face to its (already C-scaled) perimeter
-    charge; ``mass_faces`` maps a face to (weight, representative), where
-    the representative is CLOSURE (counts when >= 1 admissible incident
-    cell is selected) or INTERIOR (counts when both incident cells are
-    selected; faces with an inadmissible or exterior side never count).
-    Only nonempty subsets of ``admissible`` compete.
+    The perimeter charges C on every face touching an admissible cell,
+    or, with a region ``within``, only on the faces between two of its
+    cells.  The representative ``rep`` is CLOSURE (a face of mu counts
+    when at least one incident cell is selected) or INTERIOR (when both
+    are; a face with an inadmissible or exterior side never counts).
 
     The excess is compiled by ``energy.assemble_excess``.  Cell i of the
     sorted pool is bit i.  Per cell, a table keyed by the bits of the cell
@@ -72,16 +74,14 @@ def scan_excess(
     if not admissible:
         raise ValueError("no admissible cells to scan")
     return _scan(
-        domain,
-        assemble_excess(
-            domain, admissible, charged_faces, mass_faces, cell_masses, cell_penalty
-        ),
+        assemble_excess(mu, admissible, C, rep=rep, within=within, cell_penalty=cell_penalty)
     )
 
 
-def _scan(domain: GridDomain, energy: BinaryEnergy) -> ScanResult:
+def _scan(energy: BinaryEnergy) -> ScanResult:
     """``scan_excess`` over an excess energy already compiled by
     ``assemble_excess``; its free cells are the pool."""
+    domain = energy.domain
     cells = energy.free_cells  # sorted
     n = len(cells)
     gain, links = flip_links(energy)
@@ -148,13 +148,5 @@ def scan_functional_minimum(
     Returns a ScanResult whose values are the *negated* functional, so the
     per-volume entries maximize mu(A+) - P(A) (minimize the functional).
     """
-    admissible = region_cells if region_cells is not None else frozenset(domain.cells())
-    charged = {f: Fraction(1) for f in domain.faces()}
-    mass_faces = {f: (w, CLOSURE) for f, w in mu_minus.face_weights.items()}
-    return scan_excess(
-        domain,
-        sorted(admissible),
-        charged_faces=charged,
-        mass_faces=mass_faces,
-        cell_masses=dict(mu_minus.cell_weights),
-    )
+    admissible = region_cells if region_cells is not None else domain.cells()
+    return scan_excess(mu_minus, sorted(admissible), 1)

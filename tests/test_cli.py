@@ -294,3 +294,25 @@ def test_variant_options(tmp_path, capsys):
     want = strong_excess(mu, 1, ICVariant.relative(Region.of(d, region.cells)))
     assert want.value != strong_excess(mu, 1).value
     assert parse_rational(report["excess"]) == want.value
+
+
+def test_3d_problem_writes_json_and_no_pgm(tmp_path, capsys):
+    # a cell of mass 7 in the middle of a 3x3x3 grid: alone it costs 6 - 7,
+    # and it is the strong IC's witness at C = 1
+    doc = {
+        "grid": {"dims": [3, 3, 3]},
+        "mu_minus": {"cells": [{"at": [1, 1, 1], "w": "7"}]},
+        "problem": {"kind": "obstacle"},
+    }
+    problem = write_problem(tmp_path, doc)
+    run, ic = tmp_path / "run", tmp_path / "ic"
+    assert main(["minimize", "--problem", problem, "--out", str(run)]) == EXIT_OK
+    result = json.loads((run / "result.json").read_text())
+    assert parse_rational(result["value"]) == -1
+    assert result["minimizer"] == [[1, 1, 1]]
+    assert main(["ic", "strong", "--problem", problem, "--out", str(ic)]) == EXIT_OK
+    report = json.loads((ic / "report.json").read_text())
+    assert parse_rational(report["excess"]) == 1
+    assert report["witness"] == [[1, 1, 1]]
+    assert not list(tmp_path.rglob("*.pgm"))
+    assert "error" not in capsys.readouterr().err

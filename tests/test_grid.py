@@ -187,3 +187,22 @@ def test_region_face_sets_are_freed_with_the_region():
     del region
     gc.collect()
     assert ref() is None
+
+
+def test_cellset_checks_its_cells_in_one_subset_test(monkeypatch):
+    # the error names the least stray cell, wrong lengths included; a valid
+    # set is checked against the grid's cached full region, cell by cell never
+    d = GridDomain((2, 2))
+    with pytest.raises(OutOfBoundsError, match=r"cell \(2, 0\) outside domain \(2, 2\)"):
+        CellSet.of(d, [(3, 1), (0, 0), (2, 0), (2, 5)])
+    with pytest.raises(OutOfBoundsError, match=r"cell \(0, 0, 0\) outside"):
+        CellSet.of(d, [(0, 0), (0, 0, 0), (2, 0)])
+    with pytest.raises(OutOfBoundsError):
+        Region.of(d, [(2, 0)])
+    d.full_region()
+
+    def refuse(self, cell):
+        raise AssertionError("per-cell check")
+
+    monkeypatch.setattr(GridDomain, "contains_cell", refuse)
+    assert CellSet.full(d).volume == 4

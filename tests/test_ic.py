@@ -28,7 +28,7 @@ from perivar import (
     sum_measures,
 )
 from perivar import ic, oracle
-from perivar.energy import assemble_excess, check_submodular, evaluate
+from perivar.energy import CLOSURE, INTERIOR, assemble_excess, check_submodular, evaluate
 from perivar.ic import resolve_cap
 from perivar.maxflow import FlowNetwork
 from perivar.oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded
@@ -221,6 +221,49 @@ def test_exhaustive_method_builds_no_network(monkeypatch):
     res = strong_excess(mu, 1, method="min-cut")
     assert res.method == "min-cut" and res.value == 0
     assert len(builds) == 1
+
+
+def test_strong_excess_rejects_an_unknown_method():
+    mu = hyperplane_measure(GridDomain((4, 4)), 1, 2, 2)
+    with pytest.raises(ValueError, match="unknown method 'mincut'"):
+        strong_excess(mu, 1, method="mincut")
+
+
+def test_excess_reads_no_face_list(monkeypatch):
+    # every variant charges its perimeter through cell masks, so neither the
+    # min cut nor the scan walks the grid's or a region's faces
+    d = GridDomain((5, 3))
+    line = hyperplane_measure(d, 1, 1, 2)
+    mu = MeasureData(d, face_weights=line.face_weights, cell_weights={(4, 2): F(9, 2)})
+    omega = Region.of(d, [c for c in d.cells() if c[1] < 2 or c[0] == 4])
+    cells = naive.all_cells(d.dims)
+    inside = [
+        f for f in naive.all_faces(d.dims)
+        if all(side in omega.cells for side in naive.face_sides(d.dims, f))
+    ]
+    # (variant, admissible cells, charged faces, rep, within)
+    cases = [
+        (ICVariant.plain(), cells, None, CLOSURE, None),
+        (ICVariant.interior_rep(), cells, None, INTERIOR, None),
+        (ICVariant.avoid_ball(0), [c for c in cells if c != (2, 1)], None, CLOSURE, None),
+        (ICVariant.relative(omega), sorted(omega.cells), inside, CLOSURE, omega),
+        (ICVariant.relative_to_boundary(omega), cells, inside, CLOSURE, omega),
+    ]
+    fw, cw = as_raw(mu)
+
+    def refuse(self):
+        raise AssertionError("face walk")
+
+    monkeypatch.setattr(GridDomain, "faces", refuse)
+    monkeypatch.setattr(Region, "interior_faces", refuse)
+    for variant, admissible, charged, rep, within in cases:
+        best, _ = naive.excess_maximizers(
+            d.dims, fw, cw, F(1), rep="closure" if rep == CLOSURE else "interior",
+            cells=admissible, charged=charged,
+        )
+        assert strong_excess(mu, 1, variant, method="min-cut").value == best
+        scan = oracle.scan_excess(mu, admissible, 1, rep=rep, within=within)
+        assert scan.best_value == best
 
 
 def test_automatic_route_compiles_the_excess_once(monkeypatch):
@@ -580,7 +623,7 @@ def test_assemble_excess_matches_definitions(rng):
         )
         C = rand_weight(rng, 0, 2, dens)
         pen = rng.choice([F(0), rand_weight(rng, 0, 1, dens)])
-        energy = assemble_excess(d, **ic._excess_terms(mu, C, variant), cell_penalty=pen)
+        energy = assemble_excess(mu, C=C, **ic._excess_terms(mu, C, variant), cell_penalty=pen)
         fw, cw = as_raw(mu)
         mass = naive.closure_mass if rep == "closure" else naive.interior_mass
         for r in range(len(cells) + 1):

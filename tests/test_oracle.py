@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import naive
-from conftest import as_raw, face_of, rand_measure
+from conftest import as_raw, rand_measure
 from perivar import GridDomain, ICVariant, MeasureData, Region, strong_excess
 from perivar.energy import CLOSURE, INTERIOR
 from perivar.oracle import scan_excess, scan_functional_minimum
@@ -66,16 +66,12 @@ def test_scan_excess_matches_gray_walk(rng):
         pen = rng.choice([F(0), F(1, 2), F(2, 3)])
         fw, cw = as_raw(mu)
         walk = naive.gray_scan(d.dims, fw, cw, C, pen, rep, cells=cells, charged=charged)
-        charged_faces = d.faces() if charged is None else map(face_of, charged)
         scan = scan_excess(
-            d,
+            mu,
             sorted(cells),
-            charged_faces={f: C for f in charged_faces},
-            mass_faces={
-                f: (w, CLOSURE if rep == "closure" else INTERIOR)
-                for f, w in mu.face_weights.items()
-            },
-            cell_masses=dict(mu.cell_weights),
+            C,
+            rep=CLOSURE if rep == "closure" else INTERIOR,
+            within=None if charged is None else variant.omega,
             cell_penalty=pen,
         )
         _assert_matches_walk(scan, walk)

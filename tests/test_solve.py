@@ -25,6 +25,8 @@ from perivar import (
     sum_measures,
     volume,
 )
+from perivar import solve
+from perivar.oracle import scan_functional_minimum
 from perivar.solve import _greedy_resize
 
 F = Fraction
@@ -163,6 +165,35 @@ def test_solve_volume_beyond_the_budget_falls_back_to_the_envelope():
     result = solve_volume(16, mu, exhaustive_cap=2)
     assert result.exactness == "envelope-bound"
     assert result.certificate["lower_bound"] < 9 < result.value
+
+
+def test_solve_volume_enumerates_where_the_dp_refuses(monkeypatch):
+    # 8 diagonal cells of 12x12: the DP's 64 (v + 1) 2**8 entries exceed
+    # 2**10, but the 8 cells fit under the cap, so subset enumeration answers
+    scans = []
+
+    def counting(*args, **kwargs):
+        scans.append(1)
+        return scan_functional_minimum(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "scan_functional_minimum", counting)
+    d = GridDomain((12, 12))
+    region = Region.of(d, [(i, i) for i in range(8)])
+    mu = MeasureData(
+        d,
+        face_weights={Face(0, 1, (0,)): F(3, 2)},
+        cell_weights={(i, i): F(2 + i % 3, 1 + i % 2) for i in range(8)},
+    )
+    mf, mc = as_raw(mu)
+    perim = [(f.axis, f.slot, f.at) for f in region.closure_faces()]
+    truth = naive.minima_by_volume(d.dims, region.cells, (), {}, {}, mf, mc, perim)
+    for v in range(1, 8):
+        result = solve_volume(v, mu, region, exhaustive_cap=10)
+        best, argmins = truth[v]
+        assert result.exact
+        assert result.value == best
+        assert result.minimizer.cells in argmins
+    assert len(scans) == 7
 
 
 def test_solve_volume_envelope_agrees_with_truth_when_checkable():
