@@ -10,6 +10,7 @@ did not hold).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -282,8 +283,13 @@ def cmd_experiment(args) -> int:
     for key in ("lengths", "shifts", "thetas", "ks", "ells", "factors", "sizes"):
         if key in params and not isinstance(params[key], list):
             params[key] = [params[key]]
-    out = _out_dir(args)
-    report = experiments.SCENARIOS[name](**params, outdir=out)
+    scenario = experiments.SCENARIOS[name]
+    try:
+        # only the binding is checked: a TypeError inside a scenario is a library fault
+        inspect.signature(scenario).bind(**params, outdir=args.out)
+    except TypeError as e:
+        raise CliInputError(f"scenario {name!r}: {e}") from None
+    report = scenario(**params, outdir=_out_dir(args))
     for key, verdict in sorted(report.verdicts.items()):
         print(f"{key}: {verdict}")
     return EXIT_OK

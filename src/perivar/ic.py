@@ -34,6 +34,7 @@ from .frontier import FrontierBudgetExceeded, frontier_minimize
 from .grid import Cell, CellSet, Face, GridDomain, Region, _check_same_domain
 from .maxflow import (
     FlowNetwork,
+    _breakpoints,
     _cut_network,
     _residual_reachable,
     augment,
@@ -134,6 +135,8 @@ def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant, cell_penalty
         raise ValueError("C must be nonnegative")
     if cell_penalty < 0:
         raise ValueError("cell penalty must be nonnegative")
+    if variant.omega is not None:
+        _check_same_domain(mu, variant.omega)
     domain = mu.domain
     admissible = domain.cells()
     if variant.kind == "relative":
@@ -330,48 +333,22 @@ def small_volume_profile(
             entries.append(ProfileEntry(v, running, "exhaustive-exact", False))
         return ICProfile(tuple(entries))
 
-    # Lagrangian sweep over lam >= 0: g(lam) = max over nonempty A of
-    # f(A) - lam |A|; witnesses give exact profile values at their volumes.
-    # The cap passes down, so a non-reducible instance (the penalty does
-    # not change reducibility) raises ExhaustiveCapacityExceeded at once.
-    def g(lam: Fraction):
+    # Lagrangian sweep over lam >= 0 (maxflow's breakpoint search, on the
+    # negated excess): g(lam) = max over nonempty A of f(A) - lam |A|;
+    # witnesses give exact profile values at their volumes.  The cap passes
+    # down, so a non-reducible instance (the penalty does not change
+    # reducibility) raises ExhaustiveCapacityExceeded at once.
+    def solve(lam: Fraction):
         res = strong_excess(
             mu, C, variant, cell_penalty=cell_penalty + lam, exhaustive_cap=cap
         )
-        return res.value, res.witness
+        return res.witness, -res.value - lam * res.witness.volume
 
-    lam_hi = mu.total_mass() + 1
-    samples: Dict[Fraction, Fraction] = {}
+    samples: Dict[Fraction, Fraction] = {}  # lam -> g(lam)
     exact: Dict[int, Fraction] = {}
-
-    def record(lam: Fraction, excess: Fraction, witness: CellSet):
-        samples[lam] = excess
-        if witness.volume > 0:
-            f_val = excess + lam * witness.volume
-            if witness.volume not in exact or f_val > exact[witness.volume]:
-                exact[witness.volume] = f_val
-
-    def sweep(lam_a, ex_a, wit_a, lam_b, ex_b, wit_b):
-        if wit_a.volume == wit_b.volume:
-            return
-        # intersection of the two support lines f(A) - lam |A|
-        lam_star = (
-            (ex_a + lam_a * wit_a.volume) - (ex_b + lam_b * wit_b.volume)
-        ) / Fraction(wit_a.volume - wit_b.volume)
-        if not (lam_a < lam_star < lam_b):
-            return
-        ex_s, wit_s = g(lam_star)
-        record(lam_star, ex_s, wit_s)
-        line = ex_a + lam_a * wit_a.volume - lam_star * wit_a.volume
-        if ex_s > line:
-            sweep(lam_a, ex_a, wit_a, lam_star, ex_s, wit_s)
-            sweep(lam_star, ex_s, wit_s, lam_b, ex_b, wit_b)
-
-    ex0, wit0 = g(ZERO)
-    record(ZERO, ex0, wit0)
-    exh, with_ = g(lam_hi)
-    record(lam_hi, exh, with_)
-    sweep(ZERO, ex0, wit0, lam_hi, exh, with_)
+    for lam, witness, value in _breakpoints(solve, ZERO, mu.total_mass() + 1):
+        samples[lam] = -value - lam * witness.volume
+        exact[witness.volume] = max(-value, exact.get(witness.volume, -value))
 
     energy = assemble_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
     best_single = Fraction(-min(flip_links(energy)[0]), energy.den)
@@ -618,24 +595,25 @@ def capacity(
     def covered(sol: CellSet, inc) -> bool:
         return inc[0] in sol.cells or inc[1] in sol.cells
 
-    def recurse(ins: frozenset, outs: frozenset):
-        nonlocal best_sol, best_val
+    # depth first on a stack: the node taking v is pushed before the one
+    # taking u, so u's subtree is searched first
+    stack = [(frozenset(forced_in), frozenset())]
+    while stack:
+        ins, outs = stack.pop()
         if ins & outs:
-            return
+            continue
         sol, val = relax(ins, outs)
         if val >= best_val:
-            return
+            continue
         open_faces = [inc for inc in or_faces if not covered(sol, inc)]
         if not open_faces:
             best_sol, best_val = sol, val
-            return
+            continue
         u, v = open_faces[0]
-        if u not in outs:
-            recurse(ins | {u}, outs)
         if v not in outs:
-            recurse(ins | {v}, outs | {u})
-
-    recurse(frozenset(forced_in), frozenset())
+            stack.append((ins | {v}, outs | {u}))
+        if u not in outs:
+            stack.append((ins | {u}, outs))
     return best_val, best_sol
 
 

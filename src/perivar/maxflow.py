@@ -18,7 +18,9 @@ every cut deterministic and reproducible.
 energy's integers (all over its one denominator), reads the value off the
 cut and cross-checks it against an integer evaluation of the minimizer;
 ``parametric_sweep`` traces the breakpoints of ``min_A E(A) + lam * |A|``
-and the nested chain of minimizers.
+and the nested chain of minimizers.  Its breakpoint search,
+``_breakpoints``, also serves ``ic.small_volume_profile``'s Lagrangian
+envelope; it keeps its pending intervals on a stack.
 """
 
 from __future__ import annotations
@@ -429,11 +431,44 @@ class SweepPiece:
     volume: int
 
 
+def _breakpoints(solve, lam_lo: Fraction, lam_hi: Fraction) -> list:
+    """Eisner-Severance breakpoint search of lam -> min_A [value(A) + lam |A|].
+
+    ``solve(lam)`` returns a minimizer A at lam, the same one for the same
+    lam, and value(A) without the lam term.  Returns the samples
+    ``(lam, A, value)`` in increasing lam, both ends included; two adjacent
+    samples share a volume or have lines that cross at one of their lams.
+    The leftmost unresolved pair is split at the crossing of its two lines
+    when the minimizer there lies strictly below them; the pending right
+    ends wait on a stack, so nothing recurses.  A crossing at a pair's end
+    reuses that end's sample, which then appears twice.
+    """
+    first = (lam_lo, *solve(lam_lo))
+    samples = [first]
+    pending = [first if lam_hi == lam_lo else (lam_hi, *solve(lam_hi))]
+    while pending:
+        lam_a, set_a, val_a = left = samples[-1]
+        lam_b, set_b, val_b = right = pending[-1]
+        if set_a.volume != set_b.volume:
+            lam = Fraction(val_b - val_a, set_a.volume - set_b.volume)
+            mid = left if lam == lam_a else right if lam == lam_b else (lam, *solve(lam))
+            _, set_m, val_m = mid
+            if val_m + lam * set_m.volume < val_a + lam * set_a.volume:
+                pending.append(mid)
+                continue
+            samples.append(mid)
+        samples.append(pending.pop())
+    return samples
+
+
 def parametric_sweep(energy: BinaryEnergy, lam_lo, lam_hi) -> List[SweepPiece]:
     """All breakpoints of the value function over [lam_lo, lam_hi].
 
-    The modular volume term preserves submodularity, and the canonical
-    minimizers are nested: volumes shrink as lam grows (asserted).
+    One breakpoint search (``_breakpoints``) samples the canonical
+    minimizers; each pair of adjacent samples bounds a piece, which takes
+    the left sample's minimizer unless the two volumes agree.  The modular
+    volume term preserves submodularity, and the canonical minimizers are
+    nested: volumes shrink as lam grows (asserted).
     """
     lam_lo = Fraction(lam_lo)
     lam_hi = Fraction(lam_hi)
@@ -444,35 +479,12 @@ def parametric_sweep(energy: BinaryEnergy, lam_lo, lam_hi) -> List[SweepPiece]:
         sol, val = minimize(add_volume_term(energy, lam))
         return sol, val - lam * sol.volume
 
-    lo_sol, lo_val = solve(lam_lo)
-    hi_sol, hi_val = solve(lam_hi)
-
+    samples = _breakpoints(solve, lam_lo, lam_hi)
     pieces: List[SweepPiece] = []
-
-    def emit(lam_a, lam_b, sol, val):
-        pieces.append(
-            SweepPiece(lam_a, lam_b, sol, val, sol.volume)
-        )
-
-    def recurse(lam_a, sol_a, val_a, lam_b, sol_b, val_b):
-        if sol_a.volume == sol_b.volume:
-            # same line on both ends: one piece across the interval
-            emit(lam_a, lam_b, sol_b, val_b)
-            return
-        lam_star = (val_b - val_a) / Fraction(sol_a.volume - sol_b.volume)
-        sol_s, val_s = solve(lam_star)
-        line_here = val_a + lam_star * sol_a.volume
-        if val_s + lam_star * sol_s.volume < line_here:
-            recurse(lam_a, sol_a, val_a, lam_star, sol_s, val_s)
-            recurse(lam_star, sol_s, val_s, lam_b, sol_b, val_b)
-        else:
-            emit(lam_a, lam_star, sol_a, val_a)
-            emit(lam_star, lam_b, sol_b, val_b)
-
-    if lam_lo == lam_hi:
-        emit(lam_lo, lam_hi, lo_sol, lo_val)
-    else:
-        recurse(lam_lo, lo_sol, lo_val, lam_hi, hi_sol, hi_val)
+    for (lam_a, sol, val), (lam_b, sol_b, val_b) in zip(samples, samples[1:]):
+        if sol.volume == sol_b.volume:
+            sol, val = sol_b, val_b
+        pieces.append(SweepPiece(lam_a, lam_b, sol, val, sol.volume))
 
     # merge consecutive pieces that share the same minimizer
     merged: List[SweepPiece] = []

@@ -197,6 +197,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["ic", "capacity", "--problem", str(bad), "--out", str(tmp_path / "o2")]) == EXIT_INPUT
     assert main(["experiment", "no-such-scenario", "--out", str(tmp_path / "o3")]) == EXIT_INPUT
     capsys.readouterr()
+    # parameters the scenario does not take, or none where it needs some
+    for params in (["--param", "foo=1"], []):
+        argv = ["experiment", "tentacle", "--out", str(tmp_path / "o4"), *params]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'tentacle'") and err.count("\n") == 1
 
 
 def test_obstacle_cell_outside_grid_exits_2(tmp_path, capsys):

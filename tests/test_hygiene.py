@@ -112,3 +112,28 @@ def test_every_definition_is_referenced():
         for site in sites
     ]
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _self_calls(tree, prefix):
+    """Qualified names of the functions under ``tree`` that call their own name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+                for call in ast.walk(node)
+            ):
+                found.append(name)
+            found += _self_calls(node, name)
+    return found
+
+
+def test_solver_modules_do_not_recurse():
+    # a deep instance must not hit the interpreter's recursion limit: the
+    # solver layers keep their pending work on explicit stacks and queues
+    found = []
+    for module in ("energy", "maxflow", "frontier", "oracle", "ic", "solve"):
+        path = SRC / f"{module}.py"
+        found += _self_calls(ast.parse(path.read_text(), filename=str(path)), module)
+    assert not found, "recursive functions: " + ", ".join(found)

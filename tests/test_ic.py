@@ -330,14 +330,26 @@ def test_profile_envelope_brackets_truth():
 
 @pytest.mark.parametrize("entry", [strong_excess, small_volume_profile])
 @pytest.mark.parametrize("cap", [DEFAULT_EXHAUSTIVE_CAP, 0])  # 9 cells: below, above
-@pytest.mark.parametrize("bad", [{"C": -1}, {"cell_penalty": -1}, {"variant": "empty"}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"C": -1},
+        {"cell_penalty": -1},
+        {"variant": "empty"},
+        # regions of other grids: one cell off this grid, one that would fit on it
+        {"variant": ICVariant.relative(Region.of(GridDomain((4, 4)), [(3, 3)]))},
+        {"variant": ICVariant.relative(Region.of(GridDomain((2, 2)), [(0, 0)]))},
+    ],
+)
 def test_excess_entry_points_validate_on_both_sides_of_the_cap(entry, cap, bad):
     d = GridDomain((3, 3))
     mu = hyperplane_measure(d, 1, 1, F(2))
     kwargs = {"C": 1, "variant": None, "cell_penalty": 0, "exhaustive_cap": cap, **bad}
     if kwargs["variant"] == "empty":
         kwargs["variant"] = ICVariant.relative(Region.of(d, []))
-    with pytest.raises(ValueError, match="must be nonnegative|admits no test sets"):
+    with pytest.raises(
+        ValueError, match="must be nonnegative|admits no test sets|different domains"
+    ):
         entry(mu, **kwargs)
 
 

@@ -351,18 +351,36 @@ def test_minimize_rejects_non_submodular():
     assert exc.value.report.violations
 
 
-def test_parametric_sweep_nested_and_exact(rng):
+def test_parametric_sweep_nested_and_exact(rng, monkeypatch):
+    # every cell is free, so cell 0's cost in tells which lam a solve priced
+    solved = []
+    real = maxflow.minimize
+    monkeypatch.setattr(
+        maxflow, "minimize", lambda e: solved.append(F(e.u1[0], e.den)) or real(e)
+    )
+    interior = 0
     for _ in range(10):
         d = GridDomain((3, 3))
         pair = rand_submodular_pair(rng, d)
         energy = assemble(pair, FullSpace())
-        pieces = parametric_sweep(energy, F(-4), F(4))
-        assert pieces[0].volume >= pieces[-1].volume
-        for a, b in zip(pieces, pieces[1:]):
-            assert a.lam_hi == b.lam_lo
-            assert b.minimizer.issubset(a.minimizer)
-            assert a.volume > b.volume
-        for piece in pieces:
-            lam = (piece.lam_lo + piece.lam_hi) / 2
-            sol, val = minimize(add_volume_term(energy, lam))
-            assert val == piece.value + lam * piece.volume
+        ranges = [(F(-4), F(4))]
+        full = parametric_sweep(energy, F(-4), F(4))
+        if len(full) > 1:  # also sweep up to and on from an interior breakpoint
+            mid = rng.choice(full[:-1]).lam_hi
+            ranges += [(F(-4), mid), (mid, F(4))]
+            interior += 1
+        for lam_lo, lam_hi in ranges:
+            solved.clear()
+            pieces = parametric_sweep(energy, lam_lo, lam_hi)
+            assert len(set(solved)) == len(solved), "a lambda was solved twice"
+            assert (pieces[0].lam_lo, pieces[-1].lam_hi) == (lam_lo, lam_hi)
+            assert pieces[0].volume >= pieces[-1].volume
+            for a, b in zip(pieces, pieces[1:]):
+                assert a.lam_hi == b.lam_lo
+                assert b.minimizer.issubset(a.minimizer)
+                assert a.volume > b.volume
+            for piece in pieces:
+                for lam in (piece.lam_lo, (piece.lam_lo + piece.lam_hi) / 2, piece.lam_hi):
+                    sol, val = minimize(add_volume_term(energy, lam))
+                    assert val == piece.value + lam * piece.volume
+    assert interior
