@@ -76,7 +76,7 @@ def _resolve_c(pf: ProblemFile, flag: Optional[str]) -> Fraction:
 
 
 def _resolve_cap_for(pf: ProblemFile, flag: Optional[int]) -> int:
-    return resolve_cap(flag, pf.options.get("exhaustive_cap"))
+    return resolve_cap(flag, pf.options.get("exhaustive_cap"), explicit_name="--cap")
 
 
 def _write_mask(path: Path, A) -> None:

@@ -12,6 +12,7 @@ weight at most 2C), subset enumeration below the cap otherwise.  Only
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,15 +50,31 @@ ZERO = Fraction(0)
 ENV_CAP = "PERIVAR_EXHAUSTIVE_CAP"
 
 
-def resolve_cap(explicit: Optional[int] = None, file_option: Optional[int] = None) -> int:
-    """Exhaustive-cap precedence: explicit flag > environment > file > default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        return int(env)
-    if file_option is not None:
-        return int(file_option)
+def resolve_cap(
+    explicit: Optional[int] = None,
+    file_option: Optional[int] = None,
+    *,
+    explicit_name: str = "exhaustive_cap",
+) -> int:
+    """Exhaustive-cap precedence: explicit flag > environment > file > default.
+
+    A cap is a nonnegative integer; anything else raises ``ValueError``
+    naming its source (``explicit_name`` for the explicit value).
+    """
+    sources = (
+        (explicit_name, explicit),
+        (ENV_CAP, os.environ.get(ENV_CAP)),
+        ("the problem file's exhaustive_cap", file_option),
+    )
+    for name, raw in sources:
+        if raw is not None:
+            try:
+                cap = int(raw) if isinstance(raw, str) else operator.index(raw)
+            except (TypeError, ValueError):
+                cap = -1
+            if cap < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
+            return cap
     return DEFAULT_EXHAUSTIVE_CAP
 
 

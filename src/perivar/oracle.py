@@ -7,10 +7,15 @@ pool as a cell mask and an optional mask ``within`` for the charged
 faces.  Each step flips one cell, and since every face has at most two
 incident cells, the value changes by an amount fixed by that cell and
 the states of its admissible neighbours: one lookup in a per-cell table
-keyed by the neighbour bits.  They are the enumeration side of the
-package's dual-route checks: exact, and free of the max-flow code, but
-sharing the compiled energy with the min cut; the route independent of
-both is ``tests/naive.py``.
+keyed by the neighbour bits.  The walk runs in blocks (split
+enumeration, after Horowitz and Sahni): the low bits' best values are
+tabulated once per state of their high neighbours, then the high bits
+are walked, so a pool of n cells costs far fewer than 2^n lookups while
+every set keeps its place in the reflected Gray order, and so every tie
+its winner.  They are the enumeration side of the package's dual-route
+checks: exact, and free of the max-flow code, but sharing the compiled
+energy with the min cut; the route independent of both is
+``tests/naive.py``.
 """
 
 from __future__ import annotations
@@ -67,9 +72,13 @@ def scan_excess(
     The excess is compiled by ``energy.assemble_excess``.  Cell i of the
     sorted pool is bit i.  Per cell, a table keyed by the bits of the cell
     and its admissible neighbours holds the flip delta, read off the
-    energy's unary and face terms; a Gray step is one lookup.  Ties go to
-    the set reached first in Gray order (step g visits the bits of
-    g ^ (g >> 1)), both overall and at each volume.
+    energy's unary and face terms; a Gray step is one lookup.  The walk is
+    cut into blocks of the low k bits: one walk of the low bits per state
+    of the high cells next to them finds each low volume's best, and a
+    walk of the high bits combines those per block, k chosen to make the
+    fewest steps.  Ties go to the set reached first in Gray order (step g
+    visits the bits of g ^ (g >> 1)), both overall and at each volume,
+    exactly as a plain walk of all 2^n steps would.
     """
     if not admissible:
         raise ValueError("no admissible cells to scan")
@@ -104,24 +113,70 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
         flip_mask.append(mask)
         table.append(entries)
 
-    # A full Gray walk reaches every volume 1..n: keep each volume's first
-    # strict maximum, then the overall one is the best of those, ties going
-    # to the earliest in Gray order.
+    # The walk in blocks: step g = j * 2^k + r.  Block j holds the high bits
+    # at gray(j), and its low k bits run through gray(r), or through
+    # gray(M - r) when j is odd.  A low cell's flip reads only low bits and
+    # ``outer``, the high cells next to a low cell, so within a block the
+    # excess is value(high) plus a function of the low bits and of
+    # high & outer alone.
+    k, outer = _split(flip_mask)
+    M = (1 << k) - 1
     floor = -1 - sum(max(t.values()) for t in table)  # below every set's value
+
+    # Per state s of outer, one forward walk of the low bits.  For each low
+    # volume w keep the best value with the first r reaching it (the first in
+    # an even block) and the last (the first in an odd block, read
+    # backwards), as (w, value, offset r in the block, low bits).
+    inner = {}
+    s = outer
+    while True:
+        top = [floor] * (n + 1)  # indexed by |s| + w
+        first = [0] * (n + 1)
+        last = [0] * (n + 1)
+        base = s.bit_count()
+        top[base] = value = 0
+        bits = s
+        for r in range(1, M + 1):
+            i = (r & -r).bit_length() - 1
+            bits ^= 1 << i
+            value += table[i][bits & flip_mask[i]]
+            volume = bits.bit_count()
+            if value > top[volume]:
+                top[volume] = value
+                first[volume] = last[volume] = r
+            elif value == top[volume]:
+                last[volume] = r
+        volumes = range(base, base + k + 1)
+        inner[s] = (
+            [(v - base, top[v], first[v], first[v] ^ first[v] >> 1) for v in volumes],
+            [(v - base, top[v], M - last[v], last[v] ^ last[v] >> 1) for v in volumes],
+        )
+        if not s:
+            break
+        s = (s - 1) & outer
+
+    # The high bits in Gray order, low bits 0.  Blocks come in increasing g,
+    # so the strict comparison keeps each volume's first strict maximum in
+    # the whole walk; the overall one is the best of those, ties going to
+    # the earliest in Gray order.  Volume 0 (g = 0, the empty set) is
+    # recorded in block 0 and never read.
     vol_value = [floor] * (n + 1)
     vol_first = [0] * (n + 1)
     vol_bits = [0] * (n + 1)
     value = 0  # mass - charge - penalty, scaled
-    bits = 0
-    for g in range(1, 1 << n):
-        i = (g & -g).bit_length() - 1
-        bits ^= 1 << i
-        value += table[i][bits & flip_mask[i]]
-        volume = bits.bit_count()
-        if value > vol_value[volume]:
-            vol_value[volume] = value
-            vol_first[volume] = g
-            vol_bits[volume] = bits
+    high = 0
+    for j in range(1 << (n - k)):
+        if j:
+            i = (j & -j).bit_length() - 1 + k
+            high ^= 1 << i
+            value += table[i][high & flip_mask[i]]
+        base = high.bit_count()
+        for w, gain_low, r, low in inner[high & outer][j & 1]:
+            volume = base + w
+            if value + gain_low > vol_value[volume]:
+                vol_value[volume] = value + gain_low
+                vol_first[volume] = j << k | r
+                vol_bits[volume] = high | low
     best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_first[v]))
 
     def to_set(b: int) -> CellSet:
@@ -136,6 +191,26 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
         best_set=per_volume[best][1],
         best_at_volume=per_volume,
     )
+
+
+def _split(flip_mask: Sequence[int]) -> Tuple[int, int]:
+    """The inner block size k of ``_scan``'s walk, and the mask of high cells
+    next to a low one.
+
+    Takes the k in 1..n with the fewest steps 2^(n-k) (k+2) + 3 * 2^(k+|outer|):
+    the outer walk compares k + 1 volumes per block, and each state of
+    ``outer`` takes one walk of the low bits.  Ties go to the smaller k.
+    """
+    n = len(flip_mask)
+    reach = 0
+    best = None
+    for k in range(1, n + 1):
+        reach |= flip_mask[k - 1]
+        outer = reach >> k << k
+        steps = ((k + 2) << (n - k)) + (3 << (k + outer.bit_count()))
+        if best is None or steps < best[0]:
+            best = (steps, k, outer)
+    return best[1], best[2]
 
 
 def scan_functional_minimum(

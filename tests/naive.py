@@ -3,12 +3,15 @@
 Everything here works on raw tuples (dims, cells, (axis, slot, at) faces)
 and deliberately avoids the package's grid/measure/energy machinery, so
 test comparisons are genuinely two independent routes to the same number.
-The one exception, ``dinic_augment``, runs on a ``FlowNetwork``'s arc
-arrays, since what it checks is the max-flow engine itself.
+Two exceptions check an engine on its own input: ``dinic_augment`` runs
+on a ``FlowNetwork``'s arc arrays, and ``energy_gray_walk`` walks a
+compiled ``BinaryEnergy`` one Gray step at a time.
 """
 
 import itertools
 from fractions import Fraction
+
+from perivar.energy import flip_links
 
 ZERO = Fraction(0)
 
@@ -274,6 +277,62 @@ def gray_scan(
         if per_volume[len(A)] is None or val > per_volume[len(A)][0]:
             per_volume[len(A)] = (val, A)
     return best[0], best[1], per_volume
+
+
+def energy_gray_walk(energy):
+    """Walk the excess -E of a compiled energy over nonempty sets in Gray order.
+
+    Bit i is the energy's i-th free cell, and step g = 1 .. 2^n - 1 flips
+    one bit into g ^ (g >> 1).  Per cell, a table keyed by the bits of the
+    cell and its neighbours holds the integer flip delta, so a step is one
+    lookup.  Returns (best value, best set, per_volume) as ``gray_scan``
+    does, each keeping the first strict maximum in walk order.
+
+    The oracle's plain walk before it was split into blocks, kept as the
+    reference it is compared against.
+    """
+    cells = energy.free_cells
+    n = len(cells)
+    gain, links = flip_links(energy)
+    # an entering cell's own bit is set after the flip; a leaving cell sees
+    # the same neighbours and takes the negated change
+    flip_mask = []
+    table = []
+    for i in range(n):
+        mask = 1 << i
+        enter = {0: -gain[i]}
+        for other, coupling in links[i]:
+            mask |= 1 << other
+            for m, v in list(enter.items()):
+                enter[m | 1 << other] = v - coupling
+        entries = {m: -v for m, v in enter.items()}
+        entries.update((m | 1 << i, v) for m, v in enter.items())
+        flip_mask.append(mask)
+        table.append(entries)
+
+    vol_value = [None] * (n + 1)
+    vol_first = [0] * (n + 1)
+    vol_bits = [0] * (n + 1)
+    value = 0
+    bits = 0
+    for g in range(1, 1 << n):
+        i = (g & -g).bit_length() - 1
+        bits ^= 1 << i
+        value += table[i][bits & flip_mask[i]]
+        volume = bits.bit_count()
+        if vol_value[volume] is None or value > vol_value[volume]:
+            vol_value[volume] = value
+            vol_first[volume] = g
+            vol_bits[volume] = bits
+    per_volume = [None] + [
+        (
+            Fraction(vol_value[v], energy.den),
+            frozenset(cells[i] for i in range(n) if vol_bits[v] >> i & 1),
+        )
+        for v in range(1, n + 1)
+    ]
+    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_first[v]))
+    return per_volume[best][0], per_volume[best][1], per_volume
 
 
 def dinic_augment(net, source=None, sinks=None):

@@ -205,6 +205,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error: scenario 'tentacle'") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, env, source",
+    [
+        (["--cap", "-1"], None, "--cap"),
+        ([], "-3", "PERIVAR_EXHAUSTIVE_CAP"),
+        ([], "abc", "PERIVAR_EXHAUSTIVE_CAP"),
+    ],
+)
+def test_bad_cap_exits_2(tmp_path, capsys, monkeypatch, flags, env, source):
+    # a negative or non-numeric cap is refused, naming where it came from
+    if env is None:
+        monkeypatch.delenv("PERIVAR_EXHAUSTIVE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PERIVAR_EXHAUSTIVE_CAP", env)
+    problem = write_problem(tmp_path, line_problem(w="9/4"))
+    out = tmp_path / "o"
+    assert main(["ic", "strong", "--problem", problem, "--out", str(out), *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} must be a nonnegative integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_obstacle_cell_outside_grid_exits_2(tmp_path, capsys):
     doc = line_problem(extra={"inner": {"cells": [[1, 1], [9, 9]]}})
     problem = write_problem(tmp_path, doc)

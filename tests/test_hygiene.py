@@ -137,3 +137,25 @@ def test_solver_modules_do_not_recurse():
         path = SRC / f"{module}.py"
         found += _self_calls(ast.parse(path.read_text(), filename=str(path)), module)
     assert not found, "recursive functions: " + ", ".join(found)
+
+
+def test_oracle_imports_no_solver():
+    # the oracle is the enumeration side of the dual-route checks: it may
+    # share the compiled energy, but none of the solvers it checks
+    solvers = {"maxflow", "frontier", "ic", "solve"}
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "perivar":
+                parts = parts[1:]
+            if parts and parts[0] in solvers:
+                found.append(f"line {node.lineno}: {name}")
+    assert not found, "oracle imports a solver: " + ", ".join(found)

@@ -24,6 +24,7 @@ from perivar import (
     perimeter,
     singular_sum_check,
     small_volume_profile,
+    solve_volume,
     strong_excess,
     sum_measures,
 )
@@ -44,6 +45,27 @@ def test_resolve_cap_precedence(monkeypatch):
     assert resolve_cap() == 9
     assert resolve_cap(file_option=7) == 9
     assert resolve_cap(explicit=5, file_option=7) == 5
+    assert resolve_cap(explicit=0) == 0  # no enumeration at all
+    # a negative or non-integer cap names its source
+    for bad in (-3, 2.5, "abc"):
+        with pytest.raises(ValueError, match="exhaustive_cap must be a nonnegative integer"):
+            resolve_cap(explicit=bad)
+    with pytest.raises(ValueError, match="--cap must be"):
+        resolve_cap(explicit=-1, explicit_name="--cap")
+    for bad in ("-3", "abc", ""):
+        monkeypatch.setenv("PERIVAR_EXHAUSTIVE_CAP", bad)
+        with pytest.raises(ValueError, match="PERIVAR_EXHAUSTIVE_CAP must be"):
+            resolve_cap(file_option=7)
+        assert resolve_cap(explicit=5) == 5
+    monkeypatch.delenv("PERIVAR_EXHAUSTIVE_CAP")
+    with pytest.raises(ValueError, match="the problem file's exhaustive_cap must be"):
+        resolve_cap(file_option=-1)
+    # the entry points resolve the cap before using it
+    mu = MeasureData.zero(GridDomain((3,)))
+    with pytest.raises(ValueError, match="exhaustive_cap must be"):
+        strong_excess(mu, 1, exhaustive_cap=-3, method="exhaustive")
+    with pytest.raises(ValueError, match="exhaustive_cap must be"):
+        solve_volume(1, mu, exhaustive_cap=-3)
 
 
 def test_strong_excess_min_cut_matches_exhaustive(rng):
