@@ -140,7 +140,7 @@ PROBLEM_SCHEMA = {
         "options": {
             "type": "object",
             "properties": {
-                "exhaustive_cap": {"type": "integer", "minimum": 1},
+                "exhaustive_cap": {"type": "integer", "minimum": 0},
                 "c": _RATIONAL,
                 "v_max": {"type": "integer", "minimum": 1},
                 "variant": {

@@ -193,13 +193,14 @@ class CellSet:
 
     @staticmethod
     def box(domain: GridDomain, lo: Cell, hi: Cell) -> "CellSet":
-        """Axis-aligned block with corner cells lo and hi (inclusive)."""
-        cells = [
-            c
-            for c in domain.cells()
-            if all(lo[a] <= c[a] <= hi[a] for a in range(domain.d))
-        ]
-        return CellSet.of(domain, cells)
+        """Axis-aligned block with corner cells lo and hi (inclusive), clipped
+        to the grid; the cells are the grid's own tuples."""
+        numbers = [0]  # row-major cell numbers of the block, axis by axis
+        for a, m in enumerate(domain.dims):
+            span = range(max(lo[a], 0), min(hi[a], m - 1) + 1)
+            numbers = [n * m + x for n in numbers for x in span]
+        cells = domain.cells()
+        return CellSet(domain, frozenset(map(cells.__getitem__, numbers)))
 
     @property
     def volume(self) -> int:

@@ -312,6 +312,15 @@ class ICProfile:
         raise KeyError(v)
 
 
+def _best_single_cell(energy) -> Tuple[CellSet, Fraction]:
+    """The first free cell of greatest excess, alone, and that excess."""
+    gain = flip_links(energy)[0]
+    k = gain.index(min(gain))
+    cell = energy.domain.cells()[energy.free_index[k]]
+    excess = Fraction(-energy.constant - gain[k], energy.den)
+    return CellSet(energy.domain, frozenset((cell,))), excess
+
+
 def small_volume_profile(
     mu: MeasureData,
     C,
@@ -325,7 +334,12 @@ def small_volume_profile(
 
     Above the enumeration cap the Lagrangian sweep yields exact values at
     witness volumes; other budgets carry the concave envelope value marked
-    as an upper bound.
+    as an upper bound.  The sweep runs over lam in [0, lam_top], lam_top =
+    mu(total) + 2dC + penalty + 1.  Past lam_top every set of two or more
+    cells scores below every single cell, as f(A) - lam |A| <= total -
+    2 lam < -2dC - penalty - lam <= f({c}) - lam, so the top end is the
+    first best single cell, read off the compiled energy with no max flow.
+    lam = 0 and every crossing are ``strong_excess`` calls.
     """
     C = Fraction(C)
     cell_penalty = Fraction(cell_penalty)
@@ -350,12 +364,19 @@ def small_volume_profile(
             entries.append(ProfileEntry(v, running, "exhaustive-exact", False))
         return ICProfile(tuple(entries))
 
-    # Lagrangian sweep over lam >= 0 (maxflow's breakpoint search, on the
-    # negated excess): g(lam) = max over nonempty A of f(A) - lam |A|;
-    # witnesses give exact profile values at their volumes.  The cap passes
-    # down, so a non-reducible instance (the penalty does not change
-    # reducibility) raises ExhaustiveCapacityExceeded at once.
+    # Lagrangian sweep over lam in [0, lam_top] (maxflow's breakpoint
+    # search, on the negated excess): g(lam) = max over nonempty A of
+    # f(A) - lam |A|; witnesses give exact profile values at their volumes.
+    # The cap passes down, so a non-reducible instance (the penalty does
+    # not change reducibility) raises ExhaustiveCapacityExceeded at lam = 0.
+    lam_top = mu.total_mass() + 2 * mu.domain.d * C + cell_penalty + 1
+    top_set, top_excess = _best_single_cell(
+        assemble_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
+    )
+
     def solve(lam: Fraction):
+        if lam == lam_top:
+            return top_set, -top_excess
         res = strong_excess(
             mu, C, variant, cell_penalty=cell_penalty + lam, exhaustive_cap=cap
         )
@@ -363,18 +384,13 @@ def small_volume_profile(
 
     samples: Dict[Fraction, Fraction] = {}  # lam -> g(lam)
     exact: Dict[int, Fraction] = {}
-    for lam, witness, value in _breakpoints(solve, ZERO, mu.total_mass() + 1):
+    for lam, witness, value in _breakpoints(solve, ZERO, lam_top):
         samples[lam] = -value - lam * witness.volume
         exact[witness.volume] = max(-value, exact.get(witness.volume, -value))
 
-    energy = assemble_excess(mu, C=C, cell_penalty=cell_penalty, **terms)
-    best_single = Fraction(-min(flip_links(energy)[0]), energy.den)
-    if 1 not in exact or best_single > exact[1]:
-        exact[1] = best_single
-
     entries = []
     for v in range(1, v_max + 1):
-        # exact always contains volume 1, so the lower bound is defined
+        # the top end puts volume 1 in exact, so the lower bound is defined
         lb = max(val for vol, val in exact.items() if vol <= v)
         ub = min(ex + lam * v for lam, ex in samples.items())
         if lb > ub:
@@ -461,8 +477,9 @@ def divergence_certificate(mu: MeasureData, C):
     face supplied less y, and the exterior the rest; 2 den sigma = t_hi -
     t_lo.  One pass over the faces accumulates each cell's residual in
     units of 1/(2 den), with face sides from the grid's strides and masses
-    from mu, so the check does not trust the flow.  Only returned entries
-    are Fractions.
+    from mu, so the check does not trust the flow.  The check runs on these
+    integers: every residual is 0 and every |2 den sigma| <= 2 den C.  Only
+    then are Fractions built, one per distinct value.
     """
     C = Fraction(C)
     if C < 0:
@@ -519,8 +536,8 @@ def divergence_certificate(mu: MeasureData, C):
 
     cap = net.cap
     residual = [-2 * m for m in cell_mass]
-    sigma: Dict[Face, Fraction] = {}
-    shares: Dict[Face, Tuple[Fraction, Fraction]] = {}
+    fluxes = []  # per face, 2 den sigma
+    shared = {}  # per face with mass, its (t_lo, t_hi) over den
     for face, (lo, hi, W, arc, given) in zip(domain.faces(), recipe):
         if lo is None or hi is None:
             t = given - cap[arc ^ 1]  # the cell's share: the face's supply less the outflow
@@ -528,24 +545,26 @@ def divergence_certificate(mu: MeasureData, C):
         else:
             f = 0 if arc is None else (cap[arc ^ 1] - cap[arc]) // 2
             t_lo, t_hi = W // 2 - f, W // 2 + f
-        flux = t_hi - t_lo  # 2 den sigma
-        sigma[face] = Fraction(flux, 2 * den)
+        flux = t_hi - t_lo
+        fluxes.append(flux)
         if W:
-            shares[face] = (Fraction(t_lo, den), Fraction(t_hi, den))
+            shared[face] = (t_lo, t_hi)
         if lo is not None:
             residual[lo] += flux - W
         if hi is not None:
             residual[hi] -= flux + W
-
-    cert = DivergenceCertificate(
-        bound=C,
-        sigma=sigma,
-        shares=shares,
-        residuals={c: Fraction(r, 2 * den) for c, r in zip(cells, residual)},
-    )
-    if not cert.valid:
+    if any(residual) or max(map(abs, fluxes), default=0) > 2 * Cs:
         raise AssertionError("decoded certificate failed verification")
-    return cert
+
+    # one Fraction per distinct value, all over 2 den
+    numerators = {*fluxes, *(2 * t for ts in shared.values() for t in ts)}
+    value = {n: Fraction(n, 2 * den) for n in numerators}
+    return DivergenceCertificate(
+        bound=C,
+        sigma=dict(zip(domain.faces(), map(value.__getitem__, fluxes))),
+        shares={face: (value[2 * a], value[2 * b]) for face, (a, b) in shared.items()},
+        residuals=dict.fromkeys(cells, ZERO),
+    )
 
 
 def capacity(

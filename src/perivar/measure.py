@@ -153,11 +153,11 @@ def restrict(mu: MeasureData, keep: Union[CellSet, Iterable]) -> MeasureData:
     or to an explicit collection of faces (face part only)."""
     if isinstance(keep, CellSet):
         _check_same_domain(mu, keep)
-        cf = closure_faces(keep)
+        cells, sides = keep.cells, mu.domain.face_cells
         return MeasureData(
             mu.domain,
-            {c: w for c, w in mu.cell_weights.items() if c in keep.cells},
-            {f: w for f, w in mu.face_weights.items() if f in cf},
+            {c: w for c, w in mu.cell_weights.items() if c in cells},
+            {f: w for f, w in mu.face_weights.items() if not cells.isdisjoint(sides(f))},
         )
     faces = frozenset(keep)
     for f in faces:

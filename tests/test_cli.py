@@ -138,7 +138,7 @@ def test_ic_capacity(tmp_path, capsys):
 
 
 def test_ic_capacity_honours_the_cap(tmp_path, capsys, monkeypatch):
-    # a cap of 0 (flag) or 1 (file) leaves the frontier sweep too little
+    # a cap of 0 (flag or file) or 1 (file) leaves the frontier sweep too little
     # budget: the branch and bound, which runs a min cut per node, gives 10 too
     from perivar import ic
 
@@ -155,9 +155,12 @@ def test_ic_capacity_honours_the_cap(tmp_path, capsys, monkeypatch):
     }
     plain = write_problem(tmp_path, doc)
     capped = write_problem(tmp_path, dict(doc, options={"exhaustive_cap": 1}), name="capped.json")
+    zero = write_problem(tmp_path, dict(doc, options={"exhaustive_cap": 0}), name="zero.json")
     for i, (problem, flags, via_bb) in enumerate([
         (plain, ["--cap", "0"], True),
         (capped, [], True),
+        (zero, [], True),
+        (zero, ["--cap", "22"], False),
         (plain, [], False),
         (capped, ["--cap", "22"], False),
     ]):
@@ -224,6 +227,18 @@ def test_bad_cap_exits_2(tmp_path, capsys, monkeypatch, flags, env, source):
     assert main(["ic", "strong", "--problem", problem, "--out", str(out), *flags]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {source} must be a nonnegative integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_file_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the problem file may ask for cap 0, like --cap, but not for -1
+    monkeypatch.delenv("PERIVAR_EXHAUSTIVE_CAP", raising=False)
+    problem = write_problem(tmp_path, dict(line_problem(w="9/4"), options={"exhaustive_cap": -1}))
+    out = tmp_path / "o"
+    assert main(["ic", "strong", "--problem", problem, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "minimum of 0" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

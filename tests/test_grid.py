@@ -206,3 +206,23 @@ def test_cellset_checks_its_cells_in_one_subset_test(monkeypatch):
 
     monkeypatch.setattr(GridDomain, "contains_cell", refuse)
     assert CellSet.full(d).volume == 4
+
+
+def test_box_matches_its_definition(rng):
+    # the block, clipped to the grid, of cells between the corners; corners
+    # may lie off the grid or cross (an empty block)
+    for _ in range(200):
+        d = rand_domain(rng, ((3, 3), (4, 2), (2, 2, 2), (4,), (6,), (5, 1, 3)))
+        lo = tuple(rng.randint(-2, m + 1) for m in d.dims)
+        hi = tuple(rng.randint(-2, m + 1) for m in d.dims)
+        box = CellSet.box(d, lo, hi)
+        expected = {
+            c for c in d.cells() if all(lo[a] <= c[a] <= hi[a] for a in range(d.d))
+        }
+        assert box.cells == expected
+        # the grid's own tuples, not new ones
+        assert {id(c) for c in box.cells} <= {id(c) for c in d.cells()}
+    d = GridDomain((4, 4))
+    assert CellSet.box(d, (2, 0), (1, 3)).volume == 0
+    assert CellSet.box(d, (-5, -5), (9, 9)) == CellSet.full(d)
+    assert CellSet.box(d, (5, 0), (7, 3)).volume == 0

@@ -6,10 +6,11 @@ import importlib.util
 import inspect
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import perivar
-from perivar import GridDomain, hyperplane_measure, oracle
+from perivar import GridDomain, hyperplane_measure, ic, oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perivar"
 
@@ -87,6 +88,22 @@ def test_benchmark_forced_probe_count():
     assert metrics["ic.forced_probes"][0] == 100
     assert metrics["maxflow.augment.calls"][0] == 101
     assert metrics["maxflow.max_flow.calls"][0] == 1
+
+
+def test_divergence_certificate_builds_few_fractions(monkeypatch):
+    # the certificate is checked in integers; a Fraction is built per
+    # distinct value, not per face or per cell
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    mu = hyperplane_measure(GridDomain((20, 20)), 1, 10, 2)
+    monkeypatch.setattr(ic, "Fraction", counting)
+    cert = perivar.divergence_certificate(mu, 1)
+    assert cert.max_abs_sigma() == 1
+    assert len(made) <= 16, len(made)
 
 
 def test_every_definition_is_referenced():

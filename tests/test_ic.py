@@ -29,9 +29,16 @@ from perivar import (
     sum_measures,
 )
 from perivar import ic, oracle
-from perivar.energy import CLOSURE, INTERIOR, assemble_excess, check_submodular, evaluate
+from perivar.energy import (
+    CLOSURE,
+    INTERIOR,
+    assemble_excess,
+    check_submodular,
+    evaluate,
+    flip_links,
+)
 from perivar.ic import resolve_cap
-from perivar.maxflow import FlowNetwork
+from perivar.maxflow import FlowNetwork, _breakpoints
 from perivar.oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded
 
 F = Fraction
@@ -350,6 +357,89 @@ def test_profile_envelope_brackets_truth():
             assert e.phi == truth
 
 
+def _random_variant(rng, d, kinds=("plain", "interior-rep", "relative", "avoid-ball",
+                                    "relative-to-boundary")):
+    kind = rng.choice(kinds)
+    if kind in ("relative", "relative-to-boundary"):
+        cells = d.cells()
+        return ICVariant(kind, omega=Region.of(d, rng.sample(cells, rng.randint(1, len(cells)))))
+    return ICVariant(kind, radius=rng.randint(0, 1))
+
+
+def test_profile_top_end_matches_strong_excess(rng):
+    # past lam_top the best nonempty set is the first best single cell, so
+    # the profile reads its top end off the compiled energy, no max flow
+    seen = set()
+    checked = 0
+    while checked < 240:
+        d = GridDomain(rng.choice([(5,), (7,), (3, 3), (4, 2), (2, 5), (2, 2, 2), (2, 2, 3)]))
+        C = rng.choice([F(0), F(1, 2), F(1), F(3, 2)])
+        pen = rng.choice([F(0), F(0), F(1, 3), F(2)])
+        variant = _random_variant(rng, d)
+        mu = rand_measure(rng, d, n_faces=rng.randint(0, 5), n_cells=rng.randint(0, 2), hi=3)
+        try:
+            terms = ic._excess_terms(mu, C, variant, pen)
+        except ValueError:  # the ball covers the grid
+            continue
+        witness, value = ic._best_single_cell(assemble_excess(mu, C=C, cell_penalty=pen, **terms))
+        lam_top = mu.total_mass() + 2 * d.d * C + pen + 1
+        res = strong_excess(mu, C, variant, cell_penalty=pen + lam_top, exhaustive_cap=22)
+        assert res.witness == witness
+        assert res.value == value - lam_top
+        seen.add((variant.kind, d.d, res.method))
+        checked += 1
+    assert {kind for kind, _, _ in seen} == set(ic._KINDS)
+    assert {dim for _, dim, _ in seen} == {1, 2, 3}
+    assert {method for _, _, method in seen} == {"min-cut", "exhaustive"}
+
+
+def _old_envelope(mu, C, variant, v_max):
+    """The profile envelope as it was: a breakpoint search over
+    [0, total + 1], every sample a strong_excess solve, and the best single
+    cell added at volume 1; (phi, upper_bound_only) per volume."""
+
+    def solve(lam):
+        res = strong_excess(mu, C, variant, cell_penalty=lam, exhaustive_cap=1)
+        return res.witness, -res.value - lam * res.witness.volume
+
+    samples, exact = {}, {}
+    for lam, witness, value in _breakpoints(solve, F(0), mu.total_mass() + 1):
+        samples[lam] = -value - lam * witness.volume
+        exact[witness.volume] = max(-value, exact.get(witness.volume, -value))
+    terms = ic._excess_terms(mu, C, variant)
+    energy = assemble_excess(mu, C=C, **terms)
+    best_single = F(-min(flip_links(energy)[0]), energy.den)
+    exact[1] = max(best_single, exact.get(1, best_single))
+    out = []
+    for v in range(1, v_max + 1):
+        lb = max(val for vol, val in exact.items() if vol <= v)
+        ub = min(ex + lam * v for lam, ex in samples.items())
+        out.append((ub, lb < ub))
+    return out
+
+
+def test_profile_envelope_tightens_the_old_route(rng):
+    checked = 0
+    while checked < 60:
+        d = GridDomain(rng.choice([(6,), (3, 3), (4, 3), (2, 5), (2, 2, 2)]))
+        C = rng.choice([F(1, 2), F(1), F(3, 2)])
+        variant = _random_variant(rng, d, kinds=("plain", "interior-rep", "relative", "avoid-ball"))
+        mu = rand_measure(rng, d, n_faces=rng.randint(1, 6), n_cells=rng.randint(0, 2), hi=1)
+        v_max = rng.randint(1, 6)
+        try:
+            truth = small_volume_profile(mu, C, variant, v_max, exhaustive_cap=22)
+            env = small_volume_profile(mu, C, variant, v_max, exhaustive_cap=1)
+        except (ValueError, ExhaustiveCapacityExceeded):  # no test sets, or not reducible
+            continue
+        old = _old_envelope(mu, C, variant, len(env.entries))
+        for e, t, (old_phi, old_bound_only) in zip(env.entries, truth.entries, old):
+            assert e.phi <= old_phi
+            assert old_bound_only or not e.upper_bound_only
+            assert e.phi >= t.phi
+            assert e.upper_bound_only or e.phi == t.phi
+        checked += 1
+
+
 @pytest.mark.parametrize("entry", [strong_excess, small_volume_profile])
 @pytest.mark.parametrize("cap", [DEFAULT_EXHAUSTIVE_CAP, 0])  # 9 cells: below, above
 @pytest.mark.parametrize(
@@ -522,6 +612,31 @@ def test_divergence_certificate_self_check_catches_a_moved_unit(monkeypatch):
     assert divergence_certificate(mu, 1).valid
     ic_max_flow = ic.max_flow
     monkeypatch.setattr(ic, "max_flow", shifted)
+    with pytest.raises(AssertionError, match="decoded certificate failed verification"):
+        divergence_certificate(mu, 1)
+
+
+def test_divergence_certificate_self_check_catches_an_overloaded_circulation(monkeypatch):
+    # a circulation of 3C around the 2x2 block at the origin keeps every
+    # cell's divergence but leaves |sigma| >= 2C on its four faces
+    d = GridDomain((4, 4))
+    mu = MeasureData(d, cell_weights={(3, 3): F(1)})
+    cycle = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+
+    def overloaded(net):
+        result = ic_max_flow(net)
+        for u, v in zip(cycle, cycle[1:]):
+            u, v = 2 + d.cells().index(u), 2 + d.cells().index(v)
+            arc = next(i for i in range(len(net.to)) if net.to[i ^ 1] == u and net.to[i] == v)
+            push = 3 * (net.cap[arc] + net.cap[arc ^ 1]) // 2  # the arc holds C each way
+            net.cap[arc] -= push
+            net.cap[arc ^ 1] += push
+        return result
+
+    cert = divergence_certificate(mu, 1)
+    assert cert.valid and cert.max_abs_sigma() <= 1
+    ic_max_flow = ic.max_flow
+    monkeypatch.setattr(ic, "max_flow", overloaded)
     with pytest.raises(AssertionError, match="decoded certificate failed verification"):
         divergence_certificate(mu, 1)
 

@@ -13,6 +13,7 @@ from perivar import (
     are_mutually_singular,
     boundary_faces,
     boundary_measure,
+    closure_faces,
     hyperplane_measure,
     mass_on_closure,
     mass_on_interior,
@@ -99,6 +100,18 @@ def test_restrict_keeps_only_requested_support():
     for f, w in mu.face_weights.items():
         kept = any(c in keep for c in d.face_cells(f))
         assert sub.face_weight(f) == (w if kept else 0)
+
+
+def test_restrict_to_a_cell_set_matches_its_definition(rng):
+    # cells of the set, and faces of its closure (closure_faces)
+    for _ in range(60):
+        d = rand_domain(rng)
+        mu = rand_measure(rng, d, n_faces=6, n_cells=3)
+        keep = rand_cellset(rng, d, p=rng.choice([0.0, 0.3, 0.7]))
+        sub = restrict(mu, keep)
+        cf = closure_faces(keep)
+        assert sub.cell_weights == {c: w for c, w in mu.cell_weights.items() if c in keep}
+        assert sub.face_weights == {f: w for f, w in mu.face_weights.items() if f in cf}
 
 
 def test_mutual_singularity():
