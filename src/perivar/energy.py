@@ -388,6 +388,25 @@ def assemble_excess(
     return _compile(domain, state, den, faces(), cells, _scaled(C, den), mask)[0]
 
 
+def sweep_positions(cells):
+    """The tie order of the exact per-volume routes: (positions, width W).
+
+    Numbers the cells of the given cells' bounding box row-major, the
+    longest extent outermost (the lowest such axis), so face neighbours lie
+    at most W, the product of the other extents, positions apart.
+    ``frontier_minimize`` sweeps in this order and ``oracle._scan`` takes
+    it as its bit order; among optimal sets both keep the least sum of
+    2**position.
+    """
+    d = len(cells[0])
+    lo = [min(c[a] for c in cells) for a in range(d)]
+    ext = [max(c[a] for c in cells) - lo[a] + 1 for a in range(d)]
+    outer = max(range(d), key=lambda a: (ext[a], -a))
+    order = [outer] + [a for a in range(d) if a != outer]
+    stride = dict(zip(order, _strides([ext[a] for a in order])))
+    return [sum((c[a] - lo[a]) * stride[a] for a in range(d)) for c in cells], stride[outer]
+
+
 def flip_links(energy: BinaryEnergy):
     """Per free cell, the integer change of den * E when it enters a set.
 

@@ -223,7 +223,8 @@ def parse_problem(doc: dict) -> ProblemFile:
     try:
         jsonschema.validate(doc, PROBLEM_SCHEMA)
     except jsonschema.ValidationError as e:
-        raise ProblemFileError(f"schema violation: {e.message}") from e
+        where = ".".join(map(str, e.absolute_path)) + ": " if e.absolute_path else ""
+        raise ProblemFileError(f"schema violation: {where}{e.message}") from e
     domain = GridDomain(tuple(doc["grid"]["dims"]))
     region_set = _parse_cellset(domain, doc.get("region"), default_all=True)
     region = Region.of(domain, region_set.cells)

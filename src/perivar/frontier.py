@@ -1,22 +1,24 @@
 """Exact minimization of a compiled energy by frontier dynamic programming.
 
 A ``BinaryEnergy`` couples only face neighbours.  Sweep the cells of the
-free cells' bounding box in row-major order, the longest axis outermost:
-a face term then joins a cell to the cell ``stride`` positions back, at
-most W, where W is the product of the other extents.  So the decided
-cells meet the rest only through the last W cells of the sweep.  The
-state is the bits of those W cells; per state the sweep keeps the least
-integer energy of the decided cells, one value per volume when the volume
-is constrained.  The cost is exponential in the cross-section W, not in
-the cell count.  This is nonserial dynamic programming on a path
-decomposition of the grid (U. Bertelè, F. Brioschi, *Nonserial Dynamic
-Programming*, 1972; S. Arnborg, A. Proskurowski, *Discrete Appl. Math.*
-23, 1989).
+free cells' bounding box in ``energy.sweep_positions`` order, row-major
+with the longest axis outermost: a face term then joins a cell to one at
+most W positions back, where W is the product of the other extents.  So
+the decided cells meet the rest only through the last W cells of the
+sweep.  The state is the bits of those W cells; per state the sweep
+keeps the least integer energy of the decided cells, one value per
+volume when the volume is constrained.  The cost is exponential in the
+cross-section W, not in the cell count.  This is nonserial dynamic
+programming on a path decomposition of the grid (U. Bertelè, F.
+Brioschi, *Nonserial Dynamic Programming*, 1972; S. Arnborg, A.
+Proskurowski, *Discrete Appl. Math.* 23, 1989).
 
 Constraints that are not lattice constraints fit the sweep as well: a
 volume is a count carried along, and a covering pair ("not both out") is
 a transition the sweep does not take.  The work and the stored choices
-are bounded by the same ``2**cap`` budget as subset enumeration.
+are bounded by the same ``2**cap`` budget as subset enumeration.  Among
+optimal sets the sweep keeps the least sum of 2**position, as
+``oracle._scan`` does, so both return the same set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Optional, Sequence
 
-from .energy import BinaryEnergy, _total
+from .energy import BinaryEnergy, _total, sweep_positions
 from .oracle import ExhaustiveCapacityExceeded
 
 
@@ -63,9 +65,9 @@ def frontier_minimize(
 
     Ties go to the set whose free cells, weighted 2**i at sweep position i,
     have the least sum: the last cell of the sweep out rather than in, then
-    the one before it, and so on.  The sweep order depends only on the free
-    cells (the longest extent outermost, the lowest such axis; the other
-    axes in row-major order), so the same call returns the same set.
+    the one before it, and so on.  The order is ``energy.sweep_positions``
+    of the free cells, so the same call returns the same set, and the one
+    ``oracle._scan`` returns.
     """
     free = energy.free_cells
     n_free = len(free)
@@ -74,39 +76,23 @@ def frontier_minimize(
     if not free:
         return _checked(energy, (), energy.constant, covering)
 
-    d = energy.domain.d
-    lo = [min(c[a] for c in free) for a in range(d)]
-    ext = [max(c[a] for c in free) - lo[a] + 1 for a in range(d)]
-    outer = max(range(d), key=lambda a: (ext[a], -a))
-    stride = [0] * d
-    width = 1
-    for a in reversed(range(d)):
-        if a != outer:
-            stride[a] = width
-            width *= ext[a]
-    stride[outer] = width
-    n_pos = width * ext[outer]
+    positions, width = sweep_positions(free)
+    n_pos = (max(positions) // width + 1) * width  # the bounding box
     tracked = volume or 0
     if cap < 0 or n_pos * (tracked + 1) << width > 1 << cap:
         raise FrontierBudgetExceeded(n_pos, width, cap)
 
-    def pos(c) -> int:
-        return sum((c[a] - lo[a]) * stride[a] for a in range(d))
-
     # per free cell's position: (bit, table) of its face terms with earlier
     # cells and the bits of its covering partners, where bit k of the state
     # before the cell enters is the cell k + 1 positions back
-    cell_at = [None] * n_pos
-    number_at = [None] * n_pos
+    position = dict(zip(energy.free_index, positions))
+    at = [None] * n_pos  # (number, cell) of the free cell at each position
     back = {}
-    position = {}
-    for i, c in zip(energy.free_index, free):
-        p = position[i] = pos(c)
-        cell_at[p], number_at[p] = c, i
-        back[p] = ([], [])
+    for i, c, p in zip(energy.free_index, free, positions):
+        at[p], back[p] = (i, c), ([], [])
     tables = list(zip(zip(energy.e00, energy.e01), zip(energy.e10, energy.e11)))
-    for a, j, table in zip(energy.axis, energy.hi, tables):
-        back[position[j]][0].append((stride[a] - 1, table))
+    for i, j, table in zip(energy.lo, energy.hi, tables):
+        back[position[j]][0].append((position[j] - position[i] - 1, table))
     for pair in covering:
         u, w = sorted(tuple(c) for c in pair)
         i, j = energy.index(u), energy.index(w)
@@ -137,12 +123,12 @@ def frontier_minimize(
     choices = []
     none_kept = bytes(top)
     for p in range(n_pos):
-        if cell_at[p] is None:
+        if at[p] is None:
             step = [(0,) * full, (INF,) * full]
             nlo = vlo
             nhi = vlo + len(rows) - 1
         else:
-            i = number_at[p]
+            i = at[p][0]
             step = _step_costs((energy.u0[i], energy.u1[i]), *back[p], full, INF)
             seen += 1
             nlo = max(0, tracked - (n_free - seen)) if volume is not None else 0
@@ -188,7 +174,7 @@ def frontier_minimize(
     for p in reversed(range(n_pos)):
         x = state & 1
         if x:
-            members.append(cell_at[p])
+            members.append(at[p][1])
         dropped = choices[p][((u - lows[p]) * 2 + x) * top + (state >> 1)]
         if volume is not None:
             u -= x

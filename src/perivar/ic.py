@@ -220,6 +220,8 @@ def strong_excess(
     first cell lying in any maximizer is the first step to attain the
     maximum; the witness, the cells reachable from it in the residual, is
     the inclusion-minimal maximizer holding it, so it holds no earlier cell.
+    The exhaustive route keeps the oracle's least-rank witness instead; the
+    instance fixes the default route, so no answer moves between the two.
     """
     if method not in (None, "min-cut", "exhaustive"):
         raise ValueError(f"unknown method {method!r}; use 'min-cut' or 'exhaustive'")

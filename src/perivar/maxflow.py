@@ -404,7 +404,9 @@ def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:
     Returns the canonical inclusion-minimal minimizer (as a full CellSet,
     frozen cells included) together with its exact value.  The network is
     built from the energy's integers; the value is read off the cut and
-    checked against an integer evaluation of the returned set.
+    checked against an integer evaluation of the returned set.  That tie
+    rule is the min cut's own, not the least-rank rule of the DP and the
+    oracle; no question goes to both, so no answer moves between them today.
     """
     report = check_submodular(energy)
     if not report.ok:

@@ -10,11 +10,13 @@ the states of its admissible neighbours: one lookup in a per-cell table
 keyed by the neighbour bits.  The walk runs in blocks (split
 enumeration, after Horowitz and Sahni): the low bits' best values are
 tabulated once per state of their high neighbours, then the high bits
-are walked, so a pool of n cells costs far fewer than 2^n lookups while
-every set keeps its place in the reflected Gray order, and so every tie
-its winner.  They are the enumeration side of the package's dual-route
-checks: exact, and free of the max-flow code, but sharing the compiled
-energy with the min cut; the route independent of both is
+are walked, so a pool of n cells costs far fewer than 2^n lookups.
+Bit i is the cell of rank i in ``energy.sweep_positions``, and among the
+optimal sets, overall and at each volume, the scan keeps the one of
+least sum of 2**rank: the tie rule of ``frontier_minimize``, so both
+return the same set.  They are the enumeration side of the package's
+dual-route checks: exact, and free of the max-flow code, but sharing the
+compiled energy with the min cut; the route independent of both is
 ``tests/naive.py``.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .energy import CLOSURE, BinaryEnergy, assemble_excess, flip_links
+from .energy import CLOSURE, BinaryEnergy, assemble_excess, flip_links, sweep_positions
 from .grid import CellSet, GridDomain, Region
 from .measure import MeasureData
 
@@ -49,7 +51,7 @@ class ScanResult:
 
     best_value: Fraction
     best_set: CellSet
-    best_at_volume: Tuple  # (value, frozenset) or None, indexed by |A|
+    best_at_volume: Tuple  # (value, CellSet) or None, indexed by |A|
 
 
 def scan_excess(
@@ -69,16 +71,16 @@ def scan_excess(
     when at least one incident cell is selected) or INTERIOR (when both
     are; a face with an inadmissible or exterior side never counts).
 
-    The excess is compiled by ``energy.assemble_excess``.  Cell i of the
-    sorted pool is bit i.  Per cell, a table keyed by the bits of the cell
-    and its admissible neighbours holds the flip delta, read off the
-    energy's unary and face terms; a Gray step is one lookup.  The walk is
-    cut into blocks of the low k bits: one walk of the low bits per state
-    of the high cells next to them finds each low volume's best, and a
-    walk of the high bits combines those per block, k chosen to make the
-    fewest steps.  Ties go to the set reached first in Gray order (step g
-    visits the bits of g ^ (g >> 1)), both overall and at each volume,
-    exactly as a plain walk of all 2^n steps would.
+    The excess is compiled by ``energy.assemble_excess``.  Bit i is the
+    pool's cell of rank i in ``energy.sweep_positions``.  Per cell, a table
+    keyed by the bits of the cell and its admissible neighbours holds the
+    flip delta, read off the energy's unary and face terms; a Gray step is
+    one lookup.  The walk is cut into blocks of the low k bits: one walk of
+    the low bits per state of the high cells next to them finds each low
+    volume's best, and a walk of the high bits combines those per block, k
+    chosen to make the fewest steps.  Ties go to the set of least sum of
+    2**rank, both overall and at each volume: per block the least low bits,
+    across blocks the least mask.
     """
     if not admissible:
         raise ValueError("no admissible cells to scan")
@@ -88,11 +90,13 @@ def scan_excess(
 
 
 def _scan(energy: BinaryEnergy) -> ScanResult:
-    """``scan_excess`` over an excess energy already compiled by
-    ``assemble_excess``; its free cells are the pool."""
-    domain = energy.domain
-    cells = energy.free_cells  # sorted
-    n = len(cells)
+    """``scan_excess`` over an energy already compiled: the excess of a set
+    A of its free cells is E(empty) - E(A)."""
+    free = energy.free_cells
+    n = len(free)
+    # bit i is the free cell of rank i in the sweep order
+    order = sorted(range(n), key=sweep_positions(free)[0].__getitem__)
+    rank = {k: i for i, k in enumerate(order)}
     gain, links = flip_links(energy)
 
     # Per cell: a mask of the cell and its neighbours, and the change of the
@@ -101,38 +105,35 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
     # the same neighbours and takes the negated change.
     flip_mask = []
     table: List[Dict[int, int]] = []
-    for i in range(n):
+    for i, k in enumerate(order):
         mask = 1 << i
-        enter = {0: -gain[i]}
-        for other, coupling in links[i]:
-            mask |= 1 << other
+        enter = {0: -gain[k]}
+        for other, coupling in links[k]:
+            bit = 1 << rank[other]
+            mask |= bit
             for m, v in list(enter.items()):
-                enter[m | 1 << other] = v - coupling
+                enter[m | bit] = v - coupling
         entries = {m: -v for m, v in enter.items()}
         entries.update((m | 1 << i, v) for m, v in enter.items())
         flip_mask.append(mask)
         table.append(entries)
 
     # The walk in blocks: step g = j * 2^k + r.  Block j holds the high bits
-    # at gray(j), and its low k bits run through gray(r), or through
-    # gray(M - r) when j is odd.  A low cell's flip reads only low bits and
-    # ``outer``, the high cells next to a low cell, so within a block the
-    # excess is value(high) plus a function of the low bits and of
-    # high & outer alone.
+    # at gray(j) and its low k bits run through gray(r).  A low cell's flip
+    # reads only low bits and ``outer``, the high cells next to a low cell,
+    # so within a block the excess is value(high) plus a function of the low
+    # bits and of high & outer alone.
     k, outer = _split(flip_mask)
     M = (1 << k) - 1
     floor = -1 - sum(max(t.values()) for t in table)  # below every set's value
 
-    # Per state s of outer, one forward walk of the low bits.  For each low
-    # volume w keep the best value with the first r reaching it (the first in
-    # an even block) and the last (the first in an odd block, read
-    # backwards), as (w, value, offset r in the block, low bits).
+    # Per state s of outer, one walk of the low bits: for each low volume w
+    # the best value and the least low bits reaching it.
     inner = {}
     s = outer
     while True:
         top = [floor] * (n + 1)  # indexed by |s| + w
-        first = [0] * (n + 1)
-        last = [0] * (n + 1)
+        arg = [0] * (n + 1)  # s | the low bits
         base = s.bit_count()
         top[base] = value = 0
         bits = s
@@ -141,27 +142,18 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
             bits ^= 1 << i
             value += table[i][bits & flip_mask[i]]
             volume = bits.bit_count()
-            if value > top[volume]:
+            if value >= top[volume] and (value > top[volume] or bits < arg[volume]):
                 top[volume] = value
-                first[volume] = last[volume] = r
-            elif value == top[volume]:
-                last[volume] = r
-        volumes = range(base, base + k + 1)
-        inner[s] = (
-            [(v - base, top[v], first[v], first[v] ^ first[v] >> 1) for v in volumes],
-            [(v - base, top[v], M - last[v], last[v] ^ last[v] >> 1) for v in volumes],
-        )
+                arg[volume] = bits
+        inner[s] = [(v - base, top[v], arg[v] & M) for v in range(base, base + k + 1)]
         if not s:
             break
         s = (s - 1) & outer
 
-    # The high bits in Gray order, low bits 0.  Blocks come in increasing g,
-    # so the strict comparison keeps each volume's first strict maximum in
-    # the whole walk; the overall one is the best of those, ties going to
-    # the earliest in Gray order.  Volume 0 (g = 0, the empty set) is
-    # recorded in block 0 and never read.
+    # The high bits in Gray order, low bits 0; each volume keeps its best
+    # value and the least mask reaching it, and so does the overall best.
+    # Volume 0 (the empty set) is recorded in block 0 and never read.
     vol_value = [floor] * (n + 1)
-    vol_first = [0] * (n + 1)
     vol_bits = [0] * (n + 1)
     value = 0  # mass - charge - penalty, scaled
     high = 0
@@ -171,26 +163,21 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
             high ^= 1 << i
             value += table[i][high & flip_mask[i]]
         base = high.bit_count()
-        for w, gain_low, r, low in inner[high & outer][j & 1]:
-            volume = base + w
-            if value + gain_low > vol_value[volume]:
-                vol_value[volume] = value + gain_low
-                vol_first[volume] = j << k | r
-                vol_bits[volume] = high | low
-    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_first[v]))
+        for w, gain_low, low in inner[high & outer]:
+            v = base + w
+            got = value + gain_low
+            if got >= vol_value[v] and (got > vol_value[v] or high | low < vol_bits[v]):
+                vol_value[v] = got
+                vol_bits[v] = high | low
+    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_bits[v]))
 
     def to_set(b: int) -> CellSet:
-        return CellSet.of(domain, [cells[i] for i in range(n) if b >> i & 1])
+        return CellSet.of(energy.domain, [free[k] for i, k in enumerate(order) if b >> i & 1])
 
     per_volume = (None,) + tuple(
-        (Fraction(vol_value[v], energy.den), to_set(vol_bits[v]))
-        for v in range(1, n + 1)
+        (Fraction(vol_value[v], energy.den), to_set(vol_bits[v])) for v in range(1, n + 1)
     )
-    return ScanResult(
-        best_value=per_volume[best][0],
-        best_set=per_volume[best][1],
-        best_at_volume=per_volume,
-    )
+    return ScanResult(*per_volume[best], per_volume)
 
 
 def _split(flip_mask: Sequence[int]) -> Tuple[int, int]:

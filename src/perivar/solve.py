@@ -20,6 +20,8 @@ from .energy import (
     BinaryEnergy,
     Dirichlet,
     FullSpace,
+    _numbers,
+    _total,
     assemble,
     evaluate,
     flip_links,
@@ -29,7 +31,7 @@ from .frontier import FrontierBudgetExceeded, frontier_minimize
 from .grid import CellSet, Region, _check_same_domain
 from .maxflow import minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
-from .oracle import scan_functional_minimum
+from .oracle import _scan
 from .ic import resolve_cap
 
 
@@ -75,11 +77,12 @@ def solve_obstacle(
     energy = assemble(pair, mode, perimeter_weight)
     state = energy.state
     frozen: Dict[tuple, bool] = {}
-    for c in inner.cells:
-        if state[energy.index(c)] == FREE:
+    for c, i in zip(inner.cells, _numbers(energy.domain, inner.cells)):
+        if state[i] == FREE:
             frozen[c] = True
-    for c in outer.complement().cells:
-        s = state[energy.index(c)]
+    excluded = outer.complement().cells
+    for c, i in zip(excluded, _numbers(energy.domain, excluded)):
+        s = state[i]
         if s == FREE:
             frozen[c] = False
         elif s:
@@ -174,10 +177,9 @@ def solve_volume(
     else:
         return SolveResult(sol, value, "exact")
     if len(free_cells) <= cap:
-        scan = scan_functional_minimum(domain, mu_minus, free_cells)
-        value, best = scan.best_at_volume[v]
-        sol = energy.full_set(frozenset(best.cells))
-        result = SolveResult(sol, -value, "exact")
+        excess, best = _scan(energy).best_at_volume[v]
+        sol = energy.full_set(best.cells)
+        result = SolveResult(sol, Fraction(_total(energy, ()), energy.den) - excess, "exact")
         if evaluate(energy, sol) != result.value:
             raise AssertionError("scan and energy evaluation disagree")
         return result

@@ -238,6 +238,32 @@ def max_excess(dims, face_weights, cell_weights, C, penalty=ZERO, rep="closure")
     return best, maximizers[0]
 
 
+def sweep_key(cells):
+    """The tie order of the exact per-volume routes, written out again.
+
+    Number the cells of the given cells' bounding box row-major with the
+    longest extent outermost (the lowest such axis), the other axes in
+    their order; returns the key that maps a set to the sum of 2**number
+    over its cells.  Among optimal sets the least key wins.
+    """
+    d = len(cells[0])
+    lo = [min(c[a] for c in cells) for a in range(d)]
+    ext = [max(c[a] for c in cells) - lo[a] + 1 for a in range(d)]
+    outer = max(range(d), key=lambda a: (ext[a], -a))
+    order = [outer] + [a for a in range(d) if a != outer]
+
+    def key(members):
+        total = 0
+        for c in members:
+            pos = 0
+            for a in order:
+                pos = pos * ext[a] + c[a] - lo[a]
+            total += 1 << pos
+        return total
+
+    return key
+
+
 def gray_scan(
     dims,
     face_weights,
@@ -254,14 +280,19 @@ def gray_scan(
     ``cells`` (default: the whole grid) at the bits of g ^ (g >> 1); P
     counts the crossed faces of ``charged`` (default: all).  Returns
     (best value, best set, per_volume), where per_volume[v] is the best
-    (value, set) of volume v (None at v = 0).  Each keeps the first strict
-    maximum in walk order.
+    (value, set) of volume v (None at v = 0).  Each keeps, among the
+    maxima, the set of least ``sweep_key`` over the cells.
     """
     C = Fraction(C)
     penalty = Fraction(penalty)
     mass = closure_mass if rep == "closure" else interior_mass
     cells = sorted(all_cells(dims) if cells is None else cells)
     charged = all_faces(dims) if charged is None else charged
+    key = sweep_key(cells)
+
+    def better(val, A, kept):
+        return kept is None or val > kept[0] or val == kept[0] and key(A) < key(kept[1])
+
     best = None
     per_volume = [None] * (len(cells) + 1)
     for g in range(1, 1 << len(cells)):
@@ -272,9 +303,9 @@ def gray_scan(
             - C * perimeter(dims, A, charged)
             - penalty * len(A)
         )
-        if best is None or val > best[0]:
+        if better(val, A, best):
             best = (val, A)
-        if per_volume[len(A)] is None or val > per_volume[len(A)][0]:
+        if better(val, A, per_volume[len(A)]):
             per_volume[len(A)] = (val, A)
     return best[0], best[1], per_volume
 
@@ -286,7 +317,7 @@ def energy_gray_walk(energy):
     one bit into g ^ (g >> 1).  Per cell, a table keyed by the bits of the
     cell and its neighbours holds the integer flip delta, so a step is one
     lookup.  Returns (best value, best set, per_volume) as ``gray_scan``
-    does, each keeping the first strict maximum in walk order.
+    does, each keeping among the maxima the set of least ``sweep_key``.
 
     The oracle's plain walk before it was split into blocks, kept as the
     reference it is compared against.
@@ -294,6 +325,8 @@ def energy_gray_walk(energy):
     cells = energy.free_cells
     n = len(cells)
     gain, links = flip_links(energy)
+    key = sweep_key(cells)
+    weight = [key([c]) for c in cells]
     # an entering cell's own bit is set after the flip; a leaving cell sees
     # the same neighbours and takes the negated change
     flip_mask = []
@@ -311,18 +344,20 @@ def energy_gray_walk(energy):
         table.append(entries)
 
     vol_value = [None] * (n + 1)
-    vol_first = [0] * (n + 1)
+    vol_key = [0] * (n + 1)
     vol_bits = [0] * (n + 1)
     value = 0
     bits = 0
+    set_key = 0  # the sweep key of the set at bits
     for g in range(1, 1 << n):
         i = (g & -g).bit_length() - 1
         bits ^= 1 << i
+        set_key ^= weight[i]
         value += table[i][bits & flip_mask[i]]
         volume = bits.bit_count()
-        if vol_value[volume] is None or value > vol_value[volume]:
+        if vol_value[volume] is None or (value, -set_key) > (vol_value[volume], -vol_key[volume]):
             vol_value[volume] = value
-            vol_first[volume] = g
+            vol_key[volume] = set_key
             vol_bits[volume] = bits
     per_volume = [None] + [
         (
@@ -331,7 +366,7 @@ def energy_gray_walk(energy):
         )
         for v in range(1, n + 1)
     ]
-    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_first[v]))
+    best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_key[v]))
     return per_volume[best][0], per_volume[best][1], per_volume
 
 

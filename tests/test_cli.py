@@ -239,6 +239,7 @@ def test_negative_file_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["ic", "strong", "--problem", problem, "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "minimum of 0" in err
+    assert "options.exhaustive_cap" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -21,13 +21,14 @@ from perivar import (
     assemble,
     capacity,
     closure_faces,
+    evaluate,
     freeze,
     hyperplane_measure,
     perimeter,
     restrict,
 )
 from perivar.frontier import FrontierBudgetExceeded, frontier_minimize
-from perivar.oracle import scan_functional_minimum
+from perivar.oracle import _scan, scan_functional_minimum
 
 F = Fraction
 DENS = (1, 2, 3, 4, 5, 6, 7)
@@ -126,26 +127,6 @@ def test_capacity_matches_enumeration_and_branch_and_bound(rng):
         assert bb_witness.cells in argmins
 
 
-def _sweep_key(free):
-    """The documented tie order: position weights 2**i in the sweep."""
-    d = len(free[0])
-    lo = [min(c[a] for c in free) for a in range(d)]
-    ext = [max(c[a] for c in free) - lo[a] + 1 for a in range(d)]
-    outer = max(range(d), key=lambda a: (ext[a], -a))
-    order = [outer] + [a for a in range(d) if a != outer]
-
-    def key(cells):
-        total = 0
-        for c in cells:
-            pos = 0
-            for a in order:
-                pos = pos * ext[a] + c[a] - lo[a]
-            total += 1 << pos
-        return total
-
-    return key
-
-
 def test_ties_follow_the_documented_order_and_repeat(rng):
     # zero or tiny measures leave many minimizers per volume
     for dims in [(2, 4), (3, 3), (2, 2, 2), (2, 1, 3), (6,)]:
@@ -157,11 +138,49 @@ def test_ties_follow_the_documented_order_and_repeat(rng):
             energy = assemble(SignedPair.of(d, minus=mu), FullSpace())
             mf, mc = as_raw(mu)
             truth = naive.minima_by_volume(d.dims, d.cells(), (), {}, {}, mf, mc)
-            key = _sweep_key(energy.free_cells)
+            key = naive.sweep_key(energy.free_cells)
             for v, (best, argmins) in truth.items():
                 sol, val = frontier_minimize(energy, volume=v, cap=22)
                 assert sol.cells == min(argmins, key=key)
                 assert frontier_minimize(energy, volume=v, cap=22)[0].cells == sol.cells
+
+
+def _pool(rng, trial):
+    """A grid and the region of a differential pool (None: the whole grid)."""
+    shape = trial % 8
+    if shape < 6:
+        return GridDomain(((3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (2, 2, 3))[shape]), None
+    side = rng.choice([4, 5])
+    d = GridDomain((side, side))
+    if shape == 6:  # L: a square with a corner box cut away
+        cells = [c for c in d.cells() if min(c) < side - 2]
+    else:  # a ring: the square's outermost cells
+        cells = [c for c in d.cells() if min(c) == 0 or max(c) == side - 1]
+    return d, Region.of(d, cells)
+
+
+def test_dp_and_oracle_return_the_same_sets(rng):
+    # one tie order: per volume the frontier sweep and the Gray scan keep
+    # the same minimizer, here with random cell masses and so many ties
+    answers = 0
+    for trial in range(48):
+        d, region = _pool(rng, trial)
+        pool = d.cells() if region is None else sorted(region.cells)
+        mu = MeasureData(d, cell_weights={
+            c: F(rng.randint(1, 4), 2) for c in pool if rng.random() < 0.5
+        })
+        mode = FullSpace() if region is None else Dirichlet(a0=CellSet.empty(d), omega=region)
+        energy = assemble(SignedPair.of(d, minus=mu), mode)
+        scan = _scan(energy)
+        compiled = scan_functional_minimum(d, mu, None if region is None else region.cells)
+        empty = evaluate(energy, CellSet.empty(d))
+        for v in range(1, len(pool) + 1):
+            sol, val = frontier_minimize(energy, volume=v, cap=22)
+            excess, found = scan.best_at_volume[v]
+            assert (val, sol.cells) == (empty - excess, found.cells)
+            assert compiled.best_at_volume[v] == (excess, found)
+            answers += 1
+    assert answers >= 500
 
 
 def test_wide_domain_is_refused_before_allocating():

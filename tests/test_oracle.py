@@ -4,7 +4,7 @@ import pytest
 
 import naive
 from conftest import as_raw, rand_measure
-from perivar import GridDomain, ICVariant, MeasureData, Region, strong_excess
+from perivar import GridDomain, ICVariant, MeasureData, Region, oracle, strong_excess
 from perivar.energy import CLOSURE, INTERIOR, assemble_excess, flip_links
 from perivar.oracle import _scan, _split, scan_excess, scan_functional_minimum
 
@@ -118,10 +118,23 @@ def _blocked_pool(rng, trial):
     return d, list(d.cells())
 
 
+def _ranked_masks(energy):
+    """Per bit of ``_scan``, the bits of the cell and its linked neighbours,
+    with bit i the free cell of rank i in ``naive.sweep_key``'s order; and
+    the free cells in that order."""
+    cells = energy.free_cells
+    key = naive.sweep_key(cells)
+    order = sorted(range(len(cells)), key=lambda k: key([cells[k]]))
+    rank = {k: i for i, k in enumerate(order)}
+    _, links = flip_links(energy)
+    masks = [1 << i | sum(1 << rank[m] for m, _ in links[k]) for i, k in enumerate(order)]
+    return masks, [cells[k] for k in order]
+
+
 def test_blocked_walk_matches_plain_walk(rng):
     # every ScanResult field, ties included, against the plain Gray walk over
     # the same compiled energy; the cases take split and single-block walks,
-    # and witnesses reached in odd blocks, whose low bits run backwards
+    # and witnesses reached in odd blocks, where gray(j) has odd parity
     reached = set()
     for trial in range(320):
         d, pool = _blocked_pool(rng, trial)
@@ -146,20 +159,41 @@ def test_blocked_walk_matches_plain_walk(rng):
         scan = _scan(energy)
         _assert_matches_walk(scan, naive.energy_gray_walk(energy))
 
-        cells = energy.free_cells
-        n = len(cells)
-        _, links = flip_links(energy)
-        k, outer = _split([1 << i | sum(1 << m for m, _ in links[i]) for i in range(n)])
-        if k == n:
+        masks, cells = _ranked_masks(energy)
+        k, outer = _split(masks)
+        if k == len(cells):
             reached.add("single block")
         elif outer:
             reached.add("split")
-            position = {c: i for i, c in enumerate(cells)}
+            rank = {c: i for i, c in enumerate(cells)}
             for entry in scan.best_at_volume[1:]:
-                bits = sum(1 << position[c] for c in entry[1].cells)
+                bits = sum(1 << rank[c] for c in entry[1].cells)
                 if (bits >> k).bit_count() % 2:  # gray(j) has the parity of j
                     reached.add("odd block")
     assert reached == {"single block", "split", "odd block"}
+
+
+@pytest.mark.parametrize("dims, k", [((2, 11), 11), ((2, 2, 5), 9)])
+def test_split_is_the_same_on_transposed_pools(monkeypatch, dims, k):
+    # the bit order follows the pool's longest extent, not its axis order,
+    # so a pool and its transpose take the same blocks, and the high cells
+    # next to the low ones are one cross-section
+    splits = []
+
+    def recording(flip_mask):
+        splits.append(_split(flip_mask))
+        return splits[-1]
+
+    monkeypatch.setattr(oracle, "_split", recording)
+
+    def blocks(dims):
+        d = GridDomain(dims)
+        _scan(assemble_excess(MeasureData.zero(d), sorted(d.cells()), 1))
+        k, outer = splits.pop()
+        return k, outer.bit_count()
+
+    width = len(GridDomain(dims).cells()) // max(dims)
+    assert blocks(dims) == blocks(dims[::-1]) == (k, width)
 
 
 @pytest.mark.parametrize("shape", ["22-chain", "2x11", "relative 5x5"])

@@ -26,7 +26,8 @@ from perivar import (
     volume,
 )
 from perivar import solve
-from perivar.oracle import scan_functional_minimum
+from perivar.frontier import frontier_minimize
+from perivar.oracle import _scan
 from perivar.solve import _greedy_resize
 
 F = Fraction
@@ -170,13 +171,14 @@ def test_solve_volume_beyond_the_budget_falls_back_to_the_envelope():
 def test_solve_volume_enumerates_where_the_dp_refuses(monkeypatch):
     # 8 diagonal cells of 12x12: the DP's 64 (v + 1) 2**8 entries exceed
     # 2**10, but the 8 cells fit under the cap, so subset enumeration answers
+    # with the set the DP keeps under a larger cap
     scans = []
 
     def counting(*args, **kwargs):
         scans.append(1)
-        return scan_functional_minimum(*args, **kwargs)
+        return _scan(*args, **kwargs)
 
-    monkeypatch.setattr(solve, "scan_functional_minimum", counting)
+    monkeypatch.setattr(solve, "_scan", counting)
     d = GridDomain((12, 12))
     region = Region.of(d, [(i, i) for i in range(8)])
     mu = MeasureData(
@@ -187,12 +189,14 @@ def test_solve_volume_enumerates_where_the_dp_refuses(monkeypatch):
     mf, mc = as_raw(mu)
     perim = [(f.axis, f.slot, f.at) for f in region.closure_faces()]
     truth = naive.minima_by_volume(d.dims, region.cells, (), {}, {}, mf, mc, perim)
+    energy = assemble(SignedPair.of(d, minus=mu), Dirichlet(a0=CellSet.empty(d), omega=region))
     for v in range(1, 8):
         result = solve_volume(v, mu, region, exhaustive_cap=10)
         best, argmins = truth[v]
         assert result.exact
         assert result.value == best
         assert result.minimizer.cells in argmins
+        assert result.minimizer == frontier_minimize(energy, volume=v, cap=22)[0]
     assert len(scans) == 7
 
 
