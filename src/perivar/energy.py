@@ -439,7 +439,9 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
     constant = energy.constant
     for c, v in assignment.items():
         i = energy.index(c)
-        if i is None or state[i] != FREE:
+        if i is None:
+            raise ValueError(f"cell {c} outside grid {energy.domain.dims}")
+        if state[i] != FREE:
             raise ValueError(f"cell {c} is not free in this energy")
         v = 1 if v else 0
         constant += (u0, u1)[v][i]

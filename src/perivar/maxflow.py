@@ -21,6 +21,17 @@ cut and cross-checks it against an integer evaluation of the minimizer;
 and the nested chain of minimizers.  Its breakpoint search,
 ``_breakpoints``, also serves ``ic.small_volume_profile``'s Lagrangian
 envelope; it keeps its pending intervals on a stack.
+
+Every inner arc of the network ``_cut_network`` builds runs from a higher
+node to a lower one, so it ends with a warm start, ``_preflow``: one
+greedy pass down the node order and one back up leave a valid flow, most
+of a maximum one on grid energies, which ``augment`` completes.  Every
+``minimize`` caller and ``ic.strong_excess``'s first flow get it.  No
+answer moves: the value is base plus the total flow, and the
+inclusion-minimal cut, the maximal one and the flows the excess sweep's
+probes add are the same for every maximum flow.
+``ic.divergence_certificate`` builds its own network and decodes its
+field from whichever flow it gets, so it takes no warm start.
 """
 
 from __future__ import annotations
@@ -322,10 +333,12 @@ def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list
 def max_flow(net: FlowNetwork) -> CutResult:
     """A maximum flow with the canonical minimal min cut.
 
-    The current capacities are taken as pristine: the value counts only
-    the flow this call adds.  The flow left in the network is whichever
-    maximum flow ``augment`` finds, not a canonical one; the value and the
-    cut are unique.
+    Flow already in the network stays, and the value counts only the flow
+    this call adds: for a network fresh from ``add_arc`` that is the whole
+    maximum flow, while ``_cut_network``'s warm start is counted in its
+    base.  The flow left in the network is whichever maximum flow
+    ``augment`` completes, not a canonical one; the total and the cut are
+    unique.
     """
     value = augment(net)
     return CutResult(value=value, source_side=frozenset(_residual_reachable(net)))
@@ -357,10 +370,14 @@ def cut_capacity(net: FlowNetwork, source_side: frozenset, caps: list) -> int:
 
 
 def _cut_network(energy: BinaryEnergy):
-    """Network whose cuts price a submodular energy: (net, base).
+    """Network whose cuts price a submodular energy, carrying a flow: (net, base).
 
-    Free cell k (``energy.free_cells[k]``) is node k + 2.  A cut with
-    source side {source} + the nodes of A has capacity den * E(A) - base.
+    Free cell k (``energy.free_cells[k]``) is node k + 2, and every inner
+    arc runs from the higher of its two nodes to the lower.  The network
+    already carries ``_preflow``'s flow, and base includes its value, so
+    base plus the flow ``augment`` adds is den * min E.  A cut with source
+    side {source} + the nodes of A has capacity den * E(A) - base in the
+    residual, as the flow already crosses it in full.
     """
     free = energy.free_index
     node = [0] * len(energy.state)
@@ -395,7 +412,57 @@ def _cut_network(energy: BinaryEnergy):
             base += g
     for u, w, cap in pairs:
         net.add_arc(u, w, cap)
-    return net, base
+    return net, base + _preflow(net)
+
+
+def _preflow(net: FlowNetwork) -> int:
+    """Route a greedy flow through a fresh network; returns its value.
+
+    Every arc must run from the source, into the sink, or from a higher
+    inner node to a lower one, each built with zero reverse capacity, so
+    the inner arcs form a DAG in descending node order.  Pass 1 visits the
+    nodes downhill: each saturates its source arc, adds what came in from
+    above and sends it on down its out-arcs in adjacency order, which in
+    ``_cut_network`` puts the terminal arc first.  Pass 2 visits them
+    uphill and hands any excess left stuck back along its inflows, which
+    end at the source.  The result is a valid flow, usually most of a
+    maximum one; ``augment`` completes it.  O(n + m), in two loops.
+    """
+    adj, to, cap = net.adj, net.to, net.cap
+    source = net.source
+    excess = [0] * net.n_nodes  # the sink's entry collects the value
+    for v in range(net.n_nodes - 1, 1, -1):
+        e = excess[v]
+        for a in adj[v]:
+            if a & 1:
+                if to[a] == source:  # the reverse of v's source arc
+                    e += cap[a ^ 1]
+                    cap[a] += cap[a ^ 1]
+                    cap[a ^ 1] = 0
+            elif e:
+                c = cap[a]
+                if c:
+                    push = e if e < c else c
+                    cap[a] = c - push
+                    cap[a ^ 1] += push
+                    excess[to[a]] += push
+                    e -= push
+        excess[v] = e
+    for v in range(2, net.n_nodes):
+        e = excess[v]
+        if e:
+            for a in adj[v]:
+                if a & 1:
+                    c = cap[a]  # the flow into v on a ^ 1
+                    if c:
+                        push = e if e < c else c
+                        cap[a] = c - push
+                        cap[a ^ 1] += push
+                        excess[to[a]] += push
+                        e -= push
+                        if not e:
+                            break
+    return excess[net.sink]
 
 
 def minimize(energy: BinaryEnergy) -> Tuple[CellSet, Fraction]:

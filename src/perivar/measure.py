@@ -30,9 +30,10 @@ from .grid import (
 
 
 def _as_weight(w) -> Fraction:
-    if not isinstance(w, Rational):
-        raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
-    w = Fraction(w)
+    if type(w) is not Fraction:
+        if not isinstance(w, Rational):
+            raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
+        w = Fraction(w)
     if w < 0:
         raise ValueError(f"weights must be nonnegative, got {w}")
     return w
@@ -64,6 +65,17 @@ class MeasureData:
                 fw[face] = w
         object.__setattr__(self, "cell_weights", cw)
         object.__setattr__(self, "face_weights", fw)
+
+    @classmethod
+    def _derived(cls, domain: GridDomain, cell_weights: dict, face_weights: dict) -> "MeasureData":
+        """A measure from weights that were already checked, on cells and
+        faces of ``domain``; zero weights are dropped, nothing else is
+        checked again."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "domain", domain)
+        object.__setattr__(mu, "cell_weights", {c: w for c, w in cell_weights.items() if w})
+        object.__setattr__(mu, "face_weights", {f: w for f, w in face_weights.items() if w})
+        return mu
 
     @staticmethod
     def zero(domain: GridDomain) -> "MeasureData":
@@ -117,15 +129,13 @@ def hyperplane_measure(domain: GridDomain, axis: int, slot: int, weight) -> Meas
         raise ValueError(f"slot {slot} out of range [0, {domain.dims[axis]}]")
     weight = _as_weight(weight)
     faces = {f: weight for f in domain.faces() if f.axis == axis and f.slot == slot}
-    return MeasureData(domain, face_weights=faces)
+    return MeasureData._derived(domain, {}, faces)
 
 
 def boundary_measure(E: CellSet, theta) -> MeasureData:
     """theta per face of the reduced boundary of E (total mass theta*P(E))."""
     theta = _as_weight(theta)
-    return MeasureData(
-        E.domain, face_weights={f: theta for f in boundary_faces(E)}
-    )
+    return MeasureData._derived(E.domain, {}, {f: theta for f in boundary_faces(E)})
 
 
 def sum_measures(mu1: MeasureData, mu2: MeasureData) -> MeasureData:
@@ -136,12 +146,12 @@ def sum_measures(mu1: MeasureData, mu2: MeasureData) -> MeasureData:
     fw = dict(mu1.face_weights)
     for f, w in mu2.face_weights.items():
         fw[f] = fw.get(f, Fraction(0)) + w
-    return MeasureData(mu1.domain, cw, fw)
+    return MeasureData._derived(mu1.domain, cw, fw)
 
 
 def scale(mu: MeasureData, lam) -> MeasureData:
     lam = _as_weight(lam)
-    return MeasureData(
+    return MeasureData._derived(
         mu.domain,
         {c: w * lam for c, w in mu.cell_weights.items()},
         {f: w * lam for f, w in mu.face_weights.items()},
@@ -154,7 +164,7 @@ def restrict(mu: MeasureData, keep: Union[CellSet, Iterable]) -> MeasureData:
     if isinstance(keep, CellSet):
         _check_same_domain(mu, keep)
         cells, sides = keep.cells, mu.domain.face_cells
-        return MeasureData(
+        return MeasureData._derived(
             mu.domain,
             {c: w for c, w in mu.cell_weights.items() if c in cells},
             {f: w for f, w in mu.face_weights.items() if not cells.isdisjoint(sides(f))},
@@ -163,10 +173,8 @@ def restrict(mu: MeasureData, keep: Union[CellSet, Iterable]) -> MeasureData:
     for f in faces:
         if not isinstance(f, Face):
             raise TypeError(f"expected Face objects, got {type(f).__name__}")
-    return MeasureData(
-        mu.domain,
-        {},
-        {f: w for f, w in mu.face_weights.items() if f in faces},
+    return MeasureData._derived(
+        mu.domain, {}, {f: w for f, w in mu.face_weights.items() if f in faces}
     )
 
 

@@ -163,8 +163,10 @@ def test_freeze_and_conflicts():
     assert evaluate(frozen, ok) == evaluate(energy, ok)
     with pytest.raises(FrozenCellConflictError):
         evaluate(frozen, CellSet.of(d, [(1, 1)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) is not free in this energy"):
         freeze(frozen, {(0, 0): False})  # not free any more
+    with pytest.raises(ValueError, match=r"cell \(2, 0\) outside grid \(2, 2\)"):
+        freeze(energy, {(2, 0): True})
 
 
 def test_add_volume_term():

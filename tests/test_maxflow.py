@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import as_raw, rand_submodular_pair
+from conftest import as_raw, rand_measure, rand_submodular_pair, rand_weight
 import naive
 from perivar import (
     CellSet,
@@ -30,6 +30,7 @@ from perivar import (
     scale,
 )
 from perivar import maxflow
+from perivar.energy import CLOSURE, INTERIOR, assemble_excess
 from perivar.maxflow import _residual_reachable, augment, cut_capacity
 
 F = Fraction
@@ -336,6 +337,145 @@ def test_minimize_self_check_catches_a_wrong_cut_value(monkeypatch):
     energy = assemble(SignedPair.of(d, minus=hyperplane_measure(d, 1, 1, F(5, 3))), FullSpace())
     monkeypatch.setattr(maxflow, "augment", lambda net: augment(net) + 1)
     with pytest.raises(AssertionError):
+        minimize(energy)
+
+
+def _rich_pair(rng, d, weight):
+    """Signed pair with a mass on about half the cells and a third of the
+    faces, each face on one side only and at most 2 * weight, so the
+    energy at perimeter weight ``weight`` stays submodular."""
+    sides = ({}, {}), ({}, {})  # (plus, minus) x (cells, faces)
+    for c in d.cells():
+        if rng.random() < 0.5:
+            sides[rng.random() < 0.5][0][c] = rand_weight(rng, 0, 3, DENS)
+    for f in d.faces():
+        if rng.random() < 0.3:
+            sides[rng.random() < 0.5][1][f] = rand_weight(rng, 0, 2, DENS) * weight
+    plus, minus = (MeasureData(d, cell_weights=cw, face_weights=fw) for cw, fw in sides)
+    return SignedPair(plus, minus)
+
+
+def _cut_energies(rng, dims_pool, rounds):
+    """(energy, reference) over every kind of energy ``_cut_network`` prices.
+
+    The kinds take turns: the functional in FullSpace, Relative and
+    Dirichlet modes, the same with obstacle cells frozen through
+    ``freeze``, and ``assemble_excess`` with a cell penalty and, on some,
+    a region ``within``.  ``reference()`` enumerates with ``naive`` and
+    returns the least value and every minimizer, frozen cells included.
+    """
+    for t in range(rounds):
+        dims = rng.choice(dims_pool)
+        d = GridDomain(dims)
+        cells = d.cells()
+        omega = Region.of(d, [c for c in cells if rng.random() < 0.7] or cells[:1])
+        kind = t % 5
+        if kind == 4:
+            mu = rand_measure(rng, d, n_faces=d.face_count // 3, n_cells=d.cell_count // 3, hi=3)
+            C = rand_weight(rng, 1, 2, DENS)
+            pen = rng.choice([F(0), rand_weight(rng, 0, 1, DENS)])
+            within = omega if rng.random() < 0.5 else None
+            # closure mass on a face left uncharged would break submodularity
+            rep = CLOSURE if within is None else INTERIOR
+            admissible = sorted(rng.sample(cells, max(1, len(cells) * 3 // 4)))
+            capped = {f: min(w, 2 * C) for f, w in mu.face_weights.items()}
+            mu = MeasureData(d, mu.cell_weights, capped)
+            energy = assemble_excess(mu, admissible, C, rep=rep, within=within, cell_penalty=pen)
+
+            def reference(d=d, mu=mu, C=C, pen=pen, within=within, rep=rep, admissible=admissible):
+                charged = None if within is None else [
+                    (f.axis, f.slot, f.at) for f in within.interior_faces()
+                ]
+                fw, cw = as_raw(mu)
+                best, maximizers = naive.excess_maximizers(
+                    d.dims, fw, cw, C, pen, "closure" if rep == CLOSURE else "interior",
+                    admissible, charged,
+                )
+                if best < 0:
+                    return F(0), [frozenset()]
+                return -best, maximizers + [frozenset()] * (best == 0)
+        else:
+            weight = rng.choice([F(1), F(1, 2), F(5, 3)])
+            pair = _rich_pair(rng, d, weight)
+            mode, perim = (
+                (FullSpace(), None),
+                (Relative(omega=omega), omega.interior_faces()),
+                (Dirichlet(a0=CellSet.of(d, rng.sample(cells, len(cells) // 2)), omega=omega),
+                 omega.closure_faces()),
+            )[t % 3]
+            if isinstance(mode, Dirichlet):
+                keep = omega.cell_set()
+                pair = SignedPair(restrict(pair.plus, keep), restrict(pair.minus, keep))
+            energy = assemble(pair, mode, weight)
+            if kind == 3:
+                pins = rng.sample(energy.free_cells, 2)
+                energy = freeze(energy, {c: rng.random() < 0.5 for c in pins})
+
+            def reference(d=d, energy=energy, pair=pair, perim=perim, weight=weight):
+                pf, pc = as_raw(pair.plus)
+                mf, mc = as_raw(pair.minus)
+                raw_perim = None if perim is None else [(f.axis, f.slot, f.at) for f in perim]
+                return naive.minimize_over(
+                    d.dims, energy.free_cells, energy.frozen_ones(),
+                    pf, pc, mf, mc, raw_perim, weight,
+                )
+        yield energy, reference
+
+
+WARM_SMALL = ((12,), (3, 4), (2, 5), (2, 2, 3))
+WARM_LARGE = ((60,), (14, 11), (5, 6, 4))
+
+
+def _pristine(energy):
+    """``_cut_network``'s network and base without the warm start."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxflow, "_preflow", lambda net: 0)
+        return maxflow._cut_network(energy)
+
+
+def test_cut_network_carries_a_valid_flow(rng):
+    for energy, _ in _cut_energies(rng, WARM_SMALL + WARM_LARGE, 70):
+        bare, bare_base = _pristine(energy)
+        net, base = maxflow._cut_network(energy)
+        assert (net.to, net.adj) == (bare.to, bare.adj)
+        src, snk = net.source, net.sink
+        inflow = [0] * net.n_nodes
+        outflow = [0] * net.n_nodes
+        for a in range(0, len(net.to), 2):
+            u, v = net.to[a ^ 1], net.to[a]
+            # every inner arc runs downhill: the preflow's pass order rests on it
+            assert u == src or v == snk or u > v > snk
+            assert bare.cap[a ^ 1] == 0  # so the flow on a is the reverse residual
+            assert net.cap[a] >= 0 and net.cap[a ^ 1] >= 0
+            assert net.cap[a] + net.cap[a ^ 1] == bare.cap[a]
+            outflow[u] += net.cap[a ^ 1]
+            inflow[v] += net.cap[a ^ 1]
+        assert inflow[2:] == outflow[2:]
+        assert outflow[src] == inflow[snk] == base - bare_base
+
+
+def test_warm_minimize_matches_enumeration_and_dinic(rng):
+    for energy, reference in _cut_energies(rng, WARM_SMALL, 50):
+        best, argmins = reference()
+        sol, val = minimize(energy)
+        assert val == best
+        assert sol.cells == frozenset.intersection(*argmins)
+    for energy, _ in _cut_energies(rng, WARM_LARGE, 25):
+        net, base = _pristine(energy)
+        value = base + naive.dinic_augment(net)
+        free = energy.free_cells
+        cut = frozenset(free[v - 2] for v in _residual_reachable(net) if v > 1)
+        sol, val = minimize(energy)
+        assert val == F(value, energy.den)
+        assert sol == energy.full_set(cut)
+
+
+def test_minimize_self_check_catches_an_overstated_preflow(monkeypatch):
+    d = GridDomain((3, 3))
+    energy = assemble(SignedPair.of(d, minus=hyperplane_measure(d, 1, 1, F(5, 3))), FullSpace())
+    preflow = maxflow._preflow
+    monkeypatch.setattr(maxflow, "_preflow", lambda net: preflow(net) + 1)
+    with pytest.raises(AssertionError, match="cut value and energy of the minimizer disagree"):
         minimize(energy)
 
 

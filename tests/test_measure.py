@@ -45,10 +45,68 @@ def test_negative_weights_rejected():
 
 def test_out_of_domain_support_rejected():
     d = GridDomain((2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside domain"):
         MeasureData(d, cell_weights={(5, 0): F(1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside domain"):
         MeasureData(d, face_weights={Face(0, 9, (0,)): F(1)})
+
+
+def test_weights_must_be_exact():
+    d = GridDomain((2, 2))
+    with pytest.raises(TypeError, match="exact rationals"):
+        MeasureData(d, cell_weights={(0, 0): 0.5})
+    with pytest.raises(TypeError, match="exact rationals"):
+        MeasureData(d, face_weights={Face(0, 0, (0,)): "1"})
+    mu = MeasureData(d, cell_weights={(0, 0): 1}, face_weights={Face(0, 0, (0,)): F(1, 2)})
+    assert mu.cell_weights == {(0, 0): F(1)} and type(mu.cell_weights[(0, 0)]) is Fraction
+    for derive in (
+        lambda: scale(mu, 0.5),
+        lambda: hyperplane_measure(d, 0, 0, 0.5),
+        lambda: boundary_measure(CellSet.full(d), 0.5),
+    ):
+        with pytest.raises(TypeError, match="exact rationals"):
+            derive()
+    with pytest.raises(ValueError, match="nonnegative"):
+        hyperplane_measure(d, 0, 0, F(-1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        boundary_measure(CellSet.full(d), -1)
+
+
+def test_derived_measures_equal_checked_ones(rng):
+    # the measure ops skip the constructor's checks; each result equals the
+    # measure the checking constructor builds from the same weights
+    def same(derived, cells, faces):
+        checked = MeasureData(derived.domain, cells, faces)
+        assert derived.domain == checked.domain
+        assert derived.cell_weights == checked.cell_weights
+        assert derived.face_weights == checked.face_weights
+
+    for _ in range(40):
+        d = rand_domain(rng)
+        mu1, mu2 = rand_measure(rng, d, n_faces=5, n_cells=3), rand_measure(rng, d)
+        lam = rng.choice([F(0), F(1), F(2, 3)])
+        cells = {c: mu1.cell_weight(c) + mu2.cell_weight(c) for c in d.cells()}
+        faces = {f: mu1.face_weight(f) + mu2.face_weight(f) for f in d.faces()}
+        same(sum_measures(mu1, mu2), cells, faces)
+        same(
+            scale(mu1, lam),
+            {c: w * lam for c, w in mu1.cell_weights.items()},
+            {f: w * lam for f, w in mu1.face_weights.items()},
+        )
+        keep = rand_cellset(rng, d)
+        cf = closure_faces(keep)
+        same(
+            restrict(mu1, keep),
+            {c: w for c, w in mu1.cell_weights.items() if c in keep},
+            {f: w for f, w in mu1.face_weights.items() if f in cf},
+        )
+        some = rng.sample(d.faces(), 3)
+        same(restrict(mu1, some), {}, {f: mu1.face_weight(f) for f in some})
+        axis = rng.randrange(d.d)
+        slot = rng.randint(0, d.dims[axis])
+        plane = [f for f in d.faces() if (f.axis, f.slot) == (axis, slot)]
+        same(hyperplane_measure(d, axis, slot, lam), {}, dict.fromkeys(plane, lam))
+        same(boundary_measure(keep, lam), {}, dict.fromkeys(boundary_faces(keep), lam))
 
 
 def test_hyperplane_measure_lines_up():
