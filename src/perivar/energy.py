@@ -238,8 +238,6 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
 
     across = [strides[:a] + strides[a + 1:] for a in range(d)]  # number a face's at
     for face, costs, weight, kind in faces:
-        if not weight:
-            continue
         a, s = face.axis, face.slot
         st = strides[a]
         i = sum(map(mul, face.at, across[a])) + (s - 1) * st  # the lower cell when s > 0
@@ -389,22 +387,19 @@ def assemble_excess(
 
 
 def sweep_positions(cells):
-    """The tie order of the exact per-volume routes: (positions, width W).
+    """The tie order of the exact per-volume routes: each cell's rank.
 
-    Numbers the cells of the given cells' bounding box row-major, the
-    longest extent outermost (the lowest such axis), so face neighbours lie
-    at most W, the product of the other extents, positions apart.
-    ``frontier_minimize`` sweeps in this order and ``oracle._scan`` takes
-    it as its bit order; among optimal sets both keep the least sum of
-    2**position.
+    Ranks the given cells row-major over their bounding box, the longest
+    extent outermost (the lowest such axis), the other axes in their
+    order.  ``frontier_minimize`` decides the cells in rank order and
+    ``oracle._scan`` takes rank i as bit i; among optimal sets both keep
+    the least sum of 2**rank.  No other code chooses the order.
     """
-    d = len(cells[0])
-    lo = [min(c[a] for c in cells) for a in range(d)]
-    ext = [max(c[a] for c in cells) - lo[a] + 1 for a in range(d)]
-    outer = max(range(d), key=lambda a: (ext[a], -a))
-    order = [outer] + [a for a in range(d) if a != outer]
-    stride = dict(zip(order, _strides([ext[a] for a in order])))
-    return [sum((c[a] - lo[a]) * stride[a] for a in range(d)) for c in cells], stride[outer]
+    ext = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in range(len(cells[0]))]
+    outer = max(range(len(ext)), key=lambda a: (ext[a], -a))
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    order.sort(key=lambda k: cells[k][outer])  # stable: row-major below
+    return sorted(range(len(cells)), key=order.__getitem__)  # k's place in order
 
 
 def flip_links(energy: BinaryEnergy):

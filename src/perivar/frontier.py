@@ -1,29 +1,30 @@
 """Exact minimization of a compiled energy by frontier dynamic programming.
 
-A ``BinaryEnergy`` couples only face neighbours.  Sweep the cells of the
-free cells' bounding box in ``energy.sweep_positions`` order, row-major
-with the longest axis outermost: a face term then joins a cell to one at
-most W positions back, where W is the product of the other extents.  So
-the decided cells meet the rest only through the last W cells of the
-sweep.  The state is the bits of those W cells; per state the sweep
-keeps the least integer energy of the decided cells, one value per
-volume when the volume is constrained.  The cost is exponential in the
-cross-section W, not in the cell count.  This is nonserial dynamic
-programming on a path decomposition of the grid (U. Bertelè, F.
-Brioschi, *Nonserial Dynamic Programming*, 1972; S. Arnborg, A.
-Proskurowski, *Discrete Appl. Math.* 23, 1989).
+A ``BinaryEnergy`` couples only face neighbours.  Decide the free cells
+one at a time in the rank order of ``energy.sweep_positions``.  Let W,
+the window, be the largest rank gap of a face term or a covering pair:
+then a cell meets the decided cells only through the last W of them.
+The state is the bits of those W cells; per state the sweep keeps the
+least integer energy of the decided cells, one value per volume when the
+volume is constrained.  The cost is exponential in W, the bandwidth of
+the order, not in the cell count; any order is exact.  This is nonserial
+dynamic programming on a path decomposition of the face graph (U.
+Bertelè, F. Brioschi, *Nonserial Dynamic Programming*, 1972; S. Arnborg,
+A. Proskurowski, *Discrete Appl. Math.* 23, 1989).
 
 Constraints that are not lattice constraints fit the sweep as well: a
 volume is a count carried along, and a covering pair ("not both out") is
-a transition the sweep does not take.  The work and the stored choices
-are bounded by the same ``2**cap`` budget as subset enumeration.  Among
-optimal sets the sweep keeps the least sum of 2**position, as
+a transition the sweep does not take.  The work is bounded by the same
+``2**cap`` budget as subset enumeration, the stored choices also by the
+memory.  Among optimal sets the sweep keeps the least sum of 2**rank, as
 ``oracle._scan`` does, so both return the same set.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from itertools import chain
 from operator import add, gt, sub
 from typing import Optional, Sequence
 
@@ -32,15 +33,19 @@ from .oracle import ExhaustiveCapacityExceeded
 
 
 class FrontierBudgetExceeded(ExhaustiveCapacityExceeded):
-    """The sweep would exceed the work budget of 2**cap table entries."""
+    """The sweep's table would pass 2**cap entries or, at a byte each, the memory."""
 
-    def __init__(self, n_cells: int, width: int, cap: int):
+    def __init__(self, n_cells: int, width: int, cap: int, need: int):
         super().__init__(n_cells, cap)
         self.width = width
+        self.fits_budget = 0 <= cap and need <= 1 << cap
         self.args = (
-            f"frontier sweep over {n_cells} cells with a frontier of {width} "
-            f"cells exceeds the budget of 2**{cap}",
+            f"frontier sweep over {n_cells} free cells with a window of {width} "
+            f"cells exceeds the budget of 2**{cap} or this machine's memory",
         )
+
+
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")  # bytes
 
 
 def frontier_minimize(
@@ -58,16 +63,16 @@ def frontier_minimize(
     one must be in the set.  Returns (full set, exact value), checked
     against an integer re-evaluation of the set.
 
-    Refuses with ``FrontierBudgetExceeded``, before allocating anything,
-    when positions x 2**W x (tracked volumes + 1) exceeds 2**cap.  The
-    positions are the cells of the free cells' bounding box; the tracked
+    Steps once per free cell in ``energy.sweep_positions`` order, with a
+    window W of the largest rank gap of a face term or covering pair (at
+    least 1).  Refuses with ``FrontierBudgetExceeded``, before allocating
+    anything, when n_free x 2**W x (tracked volumes + 1) exceeds 2**cap or
+    the physical memory in bytes, one byte a stored choice; the tracked
     volumes are 1..volume, none without a volume.
 
-    Ties go to the set whose free cells, weighted 2**i at sweep position i,
-    have the least sum: the last cell of the sweep out rather than in, then
-    the one before it, and so on.  The order is ``energy.sweep_positions``
-    of the free cells, so the same call returns the same set, and the one
-    ``oracle._scan`` returns.
+    Ties go to the set whose free cells, weighted 2**rank, have the least
+    sum: the last cell of the sweep out rather than in, then the one
+    before it, and so on: the set ``oracle._scan`` returns.
     """
     free = energy.free_cells
     n_free = len(free)
@@ -76,31 +81,34 @@ def frontier_minimize(
     if not free:
         return _checked(energy, (), energy.constant, covering)
 
-    positions, width = sweep_positions(free)
-    n_pos = (max(positions) // width + 1) * width  # the bounding box
-    tracked = volume or 0
-    if cap < 0 or n_pos * (tracked + 1) << width > 1 << cap:
-        raise FrontierBudgetExceeded(n_pos, width, cap)
-
-    # per free cell's position: (bit, table) of its face terms with earlier
-    # cells and the bits of its covering partners, where bit k of the state
-    # before the cell enters is the cell k + 1 positions back
-    position = dict(zip(energy.free_index, positions))
-    at = [None] * n_pos  # (number, cell) of the free cell at each position
-    back = {}
-    for i, c, p in zip(energy.free_index, free, positions):
-        at[p], back[p] = (i, c), ([], [])
-    tables = list(zip(zip(energy.e00, energy.e01), zip(energy.e10, energy.e11)))
-    for i, j, table in zip(energy.lo, energy.hi, tables):
-        back[position[j]][0].append((position[j] - position[i] - 1, table))
+    rank = dict(zip(energy.free_index, sweep_positions(free)))  # by cell number
+    pairs = []  # the ranks of each covering pair, the earlier first
     for pair in covering:
         u, w = sorted(tuple(c) for c in pair)
-        i, j = energy.index(u), energy.index(w)
-        if i not in position or j not in position:
+        ranks = [rank.get(i) for i in map(energy.index, (u, w))]
+        if None in ranks:
             raise ValueError(f"covering pair {pair} names a cell that is not free")
         if sum(abs(x - y) for x, y in zip(u, w)) != 1:
             raise ValueError(f"covering pair {pair} is not a pair of face neighbours")
-        back[position[j]][1].append(position[j] - position[i] - 1)
+        pairs.append(ranks)
+    st = energy.strides
+    gaps = (rank[i + st[a]] - rank[i] for i, a in zip(energy.lo, energy.axis))
+    width = max(chain(gaps, (q - p for p, q in pairs)), default=1)
+    tracked = volume or 0
+    need = n_free * (tracked + 1) << width
+    if cap < 0 or need > 1 << cap or need > _MEMORY:
+        raise FrontierBudgetExceeded(n_free, width, cap, need)
+
+    # per rank: the free cell's number, and (bit, table) of its face terms
+    # with earlier cells and the bits of its covering partners, where bit k
+    # of the state before the cell enters is the cell k + 1 ranks back
+    order = sorted(energy.free_index, key=rank.__getitem__)
+    back = [([], []) for _ in range(n_free)]
+    tables = list(zip(zip(energy.e00, energy.e01), zip(energy.e10, energy.e11)))
+    for i, j, table in zip(energy.lo, energy.hi, tables):
+        back[rank[j]][0].append((rank[j] - rank[i] - 1, table))
+    for p, q in pairs:
+        back[q][1].append(q - p - 1)
 
     # every partial sum of terms lies in [-bound, bound]; a value carrying
     # at least one INF (a forbidden step, a volume out of reach) stays above
@@ -116,23 +124,16 @@ def frontier_minimize(
     top = full >> 1
     off = [0] * full
     rows = [[0] + [INF] * (full - 1)]
-    vlo = seen = 0
-    lows = []  # per position, the least volume kept after it
-    # per position, the dropped bit of every (volume, entering bit, state
+    vlo = 0
+    lows = []  # per rank, the least volume kept after it
+    # per rank, the dropped bit of every (volume, entering bit, state
     # without its entering bit), one byte each
     choices = []
     none_kept = bytes(top)
-    for p in range(n_pos):
-        if at[p] is None:
-            step = [(0,) * full, (INF,) * full]
-            nlo = vlo
-            nhi = vlo + len(rows) - 1
-        else:
-            i = at[p][0]
-            step = _step_costs((energy.u0[i], energy.u1[i]), *back[p], full, INF)
-            seen += 1
-            nlo = max(0, tracked - (n_free - seen)) if volume is not None else 0
-            nhi = min(tracked, seen)
+    for p, i in enumerate(order):
+        step = _step_costs((energy.u0[i], energy.u1[i]), *back[p], full, INF)
+        nlo = max(0, tracked + p + 1 - n_free)
+        nhi = min(tracked, p + 1)
         new_off = [0] * full
         shifts = []
         for x in (0, 1):
@@ -171,10 +172,10 @@ def frontier_minimize(
     )
     members = []
     u = vlo
-    for p in reversed(range(n_pos)):
+    for p in reversed(range(n_free)):
         x = state & 1
         if x:
-            members.append(at[p][1])
+            members.append(energy.domain.cells()[order[p]])
         dropped = choices[p][((u - lows[p]) * 2 + x) * top + (state >> 1)]
         if volume is not None:
             u -= x

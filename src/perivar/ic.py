@@ -585,7 +585,9 @@ def capacity(
     covering pair.  When the sweep exceeds the budget of the resolved
     ``exhaustive_cap`` (``resolve_cap``), branch and bound over the
     two-sided covering choices, with min-cut relaxations as bounds, solves
-    it instead.
+    it instead.  A sweep within the budget but past the memory raises
+    ``MemoryError`` unless no covering pair is left: then the branch and
+    bound's root, one min cut, is exact.
     """
     faces = sorted(set(faces))
     cells = sorted(set(tuple(c) for c in cells))
@@ -615,8 +617,9 @@ def capacity(
             covering=pairs,
             cap=resolve_cap(exhaustive_cap),
         )
-    except FrontierBudgetExceeded:
-        pass
+    except FrontierBudgetExceeded as refused:
+        if pairs and refused.fits_budget:  # the branch and bound would not end
+            raise MemoryError(*refused.args) from None
     else:
         return val, sol
 
@@ -638,8 +641,6 @@ def capacity(
     stack = [(frozenset(forced_in), frozenset())]
     while stack:
         ins, outs = stack.pop()
-        if ins & outs:
-            continue
         sol, val = relax(ins, outs)
         if val >= best_val:
             continue

@@ -95,8 +95,8 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
     free = energy.free_cells
     n = len(free)
     # bit i is the free cell of rank i in the sweep order
-    order = sorted(range(n), key=sweep_positions(free)[0].__getitem__)
-    rank = {k: i for i, k in enumerate(order)}
+    rank = sweep_positions(free)
+    order = sorted(range(n), key=rank.__getitem__)
     gain, links = flip_links(energy)
 
     # Per cell: a mask of the cell and its neighbours, and the change of the

@@ -142,12 +142,13 @@ def solve_volume(
     """Minimum of P(A) - mu_minus(A+) over sets of volume exactly v.
 
     Exact within the DP budget, enveloped beyond it.  The frontier sweep
-    runs when cells x 2**W x (v + 1) fits in 2**cap, W being the grid's
-    cross-section (the product of all extents but the longest); subset
-    enumeration when the cells fit under the cap instead.  Beyond both the
-    answer is exact when v is a breakpoint volume of the Lagrangian sweep;
-    otherwise it is the best repaired feasible set with a certified lower
-    bound (exactness 'envelope-bound').
+    steps once per free cell, costing about n x 2**W x (v + 1) for n free
+    cells and a window W (the cross-section on a full grid); it runs when
+    that fits in 2**cap and in memory, subset enumeration when the n cells
+    fit under the cap instead.  Beyond both the answer is exact when v is
+    a breakpoint volume of the Lagrangian sweep; otherwise it is the best
+    repaired feasible set with a certified lower bound (exactness
+    'envelope-bound').
     """
     domain = mu_minus.domain
     v = int(v)

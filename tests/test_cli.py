@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from perivar import CellSet, GridDomain, ICVariant, Region, hyperplane_measure, strong_excess
+from perivar import (
+    CellSet,
+    GridDomain,
+    ICVariant,
+    MeasureData,
+    Region,
+    SignedPair,
+    hyperplane_measure,
+    solve_dirichlet,
+    strong_excess,
+)
 from perivar import cli
 from perivar.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from perivar.fileio import parse_rational, write_mask
@@ -72,6 +82,41 @@ def test_minimize_volume(tmp_path):
     assert main(["minimize", "--problem", problem, "--out", str(outdir)]) == EXIT_OK
     result = json.loads((outdir / "result.json").read_text())
     assert result["minimizer_volume"] == 4
+
+
+def test_minimize_dirichlet(tmp_path):
+    # the weight-3/2 line inside the lower four rows of 6x6, the row above
+    # them frozen in: the file's answer is the library's
+    d = GridDomain((6, 6))
+    region = CellSet.box(d, (0, 0), (5, 3))
+    a0 = CellSet.box(d, (0, 4), (5, 4))
+    doc = line_problem(kind="dirichlet", w="3/2", extra={"a0": {"cells": [list(c) for c in sorted(a0.cells)]}})
+    doc["region"] = {"cells": [list(c) for c in sorted(region.cells)]}
+    outdir = tmp_path / "run"
+    assert main(["minimize", "--problem", write_problem(tmp_path, doc), "--out", str(outdir)]) == EXIT_OK
+    result = json.loads((outdir / "result.json").read_text())
+    mu = hyperplane_measure(d, 1, 3, F(3, 2))
+    want = solve_dirichlet(a0, Region.of(d, region.cells), SignedPair(MeasureData.zero(d), mu))
+    assert parse_rational(result["value"]) == want.value
+    assert {tuple(c) for c in result["minimizer"]} == want.minimizer.cells
+    assert want.minimizer.cells >= a0.cells
+
+
+def test_ic_constant_from_the_flag_or_the_file(tmp_path, capsys):
+    # C = 3 from --c, from options.c, and the flag over the file
+    mu = hyperplane_measure(GridDomain((6, 6)), 1, 3, F(2))
+    want = f"excess = {strong_excess(mu, 3).value}"
+    assert strong_excess(mu, 3).value != strong_excess(mu, 1).value
+    plain = write_problem(tmp_path, line_problem())
+    doc = dict(line_problem(), options={"c": "5/2"})
+    in_file = write_problem(tmp_path, dict(line_problem(), options={"c": "3"}), name="c.json")
+    other = write_problem(tmp_path, doc, name="other.json")
+    for i, (problem, flags) in enumerate([(plain, ["--c", "3"]), (in_file, []), (other, ["--c", "3/1"])]):
+        args = ["ic", "strong", "--problem", problem, "--out", str(tmp_path / f"o{i}")]
+        assert main(args + flags) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == want
+        report = json.loads((tmp_path / f"o{i}" / "report.json").read_text())
+        assert parse_rational(report["c"]) == 3
 
 
 def test_ic_strong(tmp_path, capsys):
@@ -182,6 +227,24 @@ def test_experiment_command(tmp_path, capsys):
     assert code == EXIT_OK
     assert (outdir / "report.json").exists()
     assert "cancellation holds: True" in capsys.readouterr().out
+
+
+def test_experiment_params_take_fractions_words_and_scalar_lists(tmp_path, capsys):
+    # w=5/2 is a fraction and lengths=3 a scalar for a list-valued key
+    outdir = tmp_path / "exp"
+    args = ["experiment", "tentacle", "--out", str(outdir), "--param", "w=5/2", "--param", "lengths=3"]
+    assert main(args) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["params"]["lengths"] == [3]
+    assert parse_rational(report["params"]["w"]) == F(5, 2)
+    assert "cancellation holds: False" in capsys.readouterr().out
+    # scenario=tentacle stays a word
+    outdir = tmp_path / "ref"
+    args = ["experiment", "refinement", "--out", str(outdir), "--param", "scenario=tentacle"]
+    assert main(args + ["--param", "factors=2"]) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["params"] == {"base": "tentacle", "factors": [2]}
+    assert "margin_per_length nonincreasing: True" in capsys.readouterr().out
 
 
 def test_render_command(tmp_path):
@@ -300,9 +363,10 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
 
 
 def test_memory_error_exits_3(tmp_path, capsys):
-    # a 62-face target across 62x62 asks the frontier sweep for a list of
-    # 2**62 entries, which CPython refuses before allocating anything; a
-    # narrower grid would really try to allocate, so keep this width
+    # a 62-face target across 62x62: the frontier sweep's table of 2**62
+    # entries per cell fits the budget of 2**200 but no memory, so the sweep
+    # refuses it before allocating, and with 62 covering pairs left the
+    # branch and bound is no way out; keep the width past any memory
     doc = {
         "grid": {"dims": [62, 62]},
         "problem": {
@@ -315,6 +379,22 @@ def test_memory_error_exits_3(tmp_path, capsys):
     assert main(args + ["--cap", "200"]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert err == "error: out of memory\n"
+
+
+def test_capacity_past_the_memory_without_covering_pairs(tmp_path, capsys):
+    # three target cells of 64x64 at cap 200: the sweep's 2**64-wide table
+    # fits the budget but not the memory, and with no covering pair the
+    # branch and bound's root, one min cut, answers
+    doc = {
+        "grid": {"dims": [64, 64]},
+        "problem": {"kind": "capacity", "cells": [[10, 10], [10, 11], [11, 10]]},
+    }
+    args = ["ic", "capacity", "--problem", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]
+    for cap in ("22", "200"):
+        assert main(args + ["--cap", cap]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert parse_rational(captured.out.strip()) == 8
+        assert captured.err == ""
 
 
 def test_variant_options(tmp_path, capsys):

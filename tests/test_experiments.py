@@ -91,6 +91,17 @@ def test_refinement_scenarios():
         run_refinement("unknown-scenario", [1])
 
 
+def test_refinement_of_the_tentacle():
+    # arms of 4r cells on a weight-5/2 line: each arm cell gains 1/2, so
+    # the margin per unit length stays -1/2 at every factor
+    report = run_refinement("tentacle", [3, 1, 2, 2])
+    assert [row["arm_length"] for row in report.row_dicts()] == [4, 8, 12]
+    for row in report.row_dicts():
+        assert row["value"] - row["limit_value"] == -row["arm_length"] / 2
+        assert row["margin_per_length"] == F(-1, 2)
+    assert report.verdicts == {"margin_per_length nonincreasing": True}
+
+
 def test_scenarios_registry():
     assert set(SCENARIOS) >= {
         "tentacle",

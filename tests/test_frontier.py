@@ -224,3 +224,138 @@ def test_covering_pairs_must_be_free_face_neighbours():
         frontier_minimize(energy, covering=[((0, 1), (1, 1))], cap=22)
     sol, val = frontier_minimize(energy, covering=[((0, 0), (0, 1))], cap=22)
     assert val == 6 and (1, 1) in sol and ((0, 0) in sol or (0, 1) in sol)
+
+
+def test_table_past_the_memory_is_refused_before_allocating():
+    # 64x64: 4096 steps x 2**64 fit the budget of 2**200 but not any memory
+    d = GridDomain((64, 64))
+    energy = assemble(SignedPair.of(d, minus=hyperplane_measure(d, 1, 32, F(3, 2))), FullSpace())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrontierBudgetExceeded) as info:
+            frontier_minimize(energy, cap=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert info.value.width == 64 and info.value.n_cells == 4096
+    assert info.value.fits_budget
+
+
+def _window(energy, covering=()):
+    """(free cells, window) the sweep reports when no budget is left."""
+    with pytest.raises(FrontierBudgetExceeded) as info:
+        frontier_minimize(energy, covering=covering, cap=0)
+    assert not info.value.fits_budget
+    return info.value.n_cells, info.value.width
+
+
+def test_window_is_the_bandwidth_of_the_free_cells():
+    # the 2-wide staircase (r, r), (r, r + 1) of 11x12: its box is 11 rows
+    # by 12 columns, so the box's cross-section is 11, but consecutive cells
+    # in the tie order are the only face neighbours
+    d = GridDomain((11, 12))
+    stairs = [(r, r + s) for r in range(11) for s in (0, 1)]
+    mode = Dirichlet(a0=CellSet.empty(d), omega=Region.of(d, stairs))
+    energy = assemble(SignedPair.zero(d), mode)
+    assert _window(energy) == (22, 1)
+    sol, val = frontier_minimize(energy, volume=11, cap=10)  # 22 x 12 x 2 entries
+    assert sol.volume == 11
+    # a full grid keeps its cross-section, 11 cells a column; a frozen row
+    # leaves every column and the window
+    assert _window(assemble(SignedPair.zero(d), FullSpace())) == (132, 11)
+    energy = freeze(assemble(SignedPair.zero(d), FullSpace()), {(5, c): False for c in range(12)})
+    assert _window(energy) == (120, 10)
+
+
+def _sparse_pool(rng, trial):
+    """A grid and the free cells of a pool sparse in its bounding box, and
+    cells to freeze in or out among them."""
+    shape = trial % 5
+    if shape == 0:  # a diagonal
+        d = GridDomain((6, 7))
+        cells = [(i, i + trial % 2) for i in range(6)]
+    elif shape == 1:  # a 2-wide staircase
+        d = GridDomain((5, 6))
+        cells = [(r, r + s) for r in range(5) for s in (0, 1)]
+    elif shape == 2:  # an L with 1-wide arms
+        d = GridDomain((5, 5))
+        cells = [c for c in d.cells() if min(c) == 0]
+    elif shape == 3:  # a ring
+        d = GridDomain((4, 5))
+        cells = [c for c in d.cells() if min(c) == 0 or c[0] == 3 or c[1] == 4]
+    else:  # a random mask with holes
+        d = GridDomain(rng.choice([(4, 4), (3, 5), (2, 2, 3)]))
+        cells = [c for c in d.cells() if rng.random() < 0.7] or d.cells()[:1]
+    pins = {c: rng.random() < 0.5 for c in cells if rng.random() < 0.2}
+    return d, cells, pins
+
+
+def test_sparse_pools_match_scan_and_naive_set_for_set(rng):
+    # diagonals, staircases, L's, rings and masks with frozen holes: the
+    # sweep, the Gray scan and enumeration keep the same set at every volume
+    for trial in range(20):
+        d, cells, pins = _sparse_pool(rng, trial)
+        region = Region.of(d, cells)
+        mu = restrict(_rand_measure(rng, d, 0.5), region.cell_set())
+        a0 = CellSet.of(d, [c for c in d.cells() if rng.random() < 0.3])
+        energy = freeze(assemble(SignedPair.of(d, minus=mu), Dirichlet(a0=a0, omega=region)), pins)
+        free, ones = energy.free_cells, energy.frozen_ones()
+        if not free:
+            continue
+        mf, mc = as_raw(mu)
+        perim = _raw(region.closure_faces())
+        truth = naive.minima_by_volume(d.dims, free, ones, {}, {}, mf, mc, perim)
+        key = naive.sweep_key(free)
+        scan = _scan(energy)
+        for v, (best, argmins) in truth.items():
+            least = min(argmins, key=lambda A: key(A - ones))
+            sol, val = frontier_minimize(energy, volume=v, cap=22)
+            assert (val, sol.cells) == (best, least)
+            if v:
+                excess, found = scan.best_at_volume[v]
+                assert (truth[0][0] - excess, found.cells | ones) == (val, sol.cells)
+        lowest = min(best for best, _ in truth.values())
+        sol, val = frontier_minimize(energy, cap=22)
+        tied = [A for best, argmins in truth.values() if best == lowest for A in argmins]
+        assert (val, sol.cells) == (lowest, min(tied, key=lambda A: key(A - ones)))
+
+
+def test_covering_pairs_next_to_frozen_targets(rng):
+    # target cells are frozen in; the two-sided faces next to them are
+    # covering pairs whose cells sit between frozen ones in the tie order
+    for trial in range(12):
+        d = GridDomain(rng.choice([(3, 4), (4, 3), (2, 5)]))
+        cells = rng.sample(list(d.cells()), k=rng.randint(1, 2))
+
+        def next_to_target(f):
+            inc = d.face_cells(f)
+            return len(inc) == 2 and not set(inc) & set(cells) and any(
+                sum(abs(x - y) for x, y in zip(c, t)) == 1 for c in inc for t in cells
+            )
+
+        near = [f for f in d.faces() if next_to_target(f)]
+        faces = rng.sample(near, k=min(3, len(near))) + rng.sample(list(d.faces()), k=1)
+        value, witness = capacity(d, faces=faces, cells=cells)
+        best, argmins = naive.covering_minimum(d.dims, _raw(faces), cells)
+        forced = frozenset(cells) | {
+            c for f in faces if len(d.face_cells(f)) == 1 for c in d.face_cells(f)
+        }
+        key = naive.sweep_key([c for c in d.cells() if c not in forced])
+        assert (value, witness.cells) == (best, min(argmins, key=lambda A: key(A - forced)))
+
+
+def test_no_free_cell_and_no_feasible_set():
+    d = GridDomain((2, 3))
+    pins = {c: sum(c) % 2 == 0 for c in d.cells()}
+    energy = freeze(assemble(SignedPair.zero(d), FullSpace()), pins)
+    sol, val = frontier_minimize(energy, cap=0)
+    assert sol.cells == {c for c, inside in pins.items() if inside}
+    assert val == evaluate(energy, sol) == 12
+    # a chain of 3 with both of its faces covered needs at least one cell
+    chain = assemble(SignedPair.zero(GridDomain((3,))), FullSpace())
+    with pytest.raises(ValueError, match="no set meets"):
+        frontier_minimize(chain, volume=0, covering=[((0,), (1,)), ((1,), (2,))], cap=22)
+    assert frontier_minimize(chain, volume=1, covering=[((0,), (1,)), ((1,), (2,))], cap=22)[0] == CellSet.of(
+        GridDomain((3,)), [(1,)]
+    )

@@ -169,9 +169,12 @@ def test_solve_volume_beyond_the_budget_falls_back_to_the_envelope():
 
 
 def test_solve_volume_enumerates_where_the_dp_refuses(monkeypatch):
-    # 8 diagonal cells of 12x12: the DP's 64 (v + 1) 2**8 entries exceed
-    # 2**10, but the 8 cells fit under the cap, so subset enumeration answers
-    # with the set the DP keeps under a larger cap
+    # 8 diagonal cells of 12x12 at cap 10: no two are face neighbours, so
+    # the DP's window is 1 and its 8 (v + 1) 2 entries fit; no scan runs.
+    # The 11-cell L (0, 0..5), (1..5, 0) at cap 11 has window 6: 11 (v + 1)
+    # 2**6 entries fit 2**11 at v = 1 only, and subset enumeration answers
+    # v = 2..10.  Either way the set is the one the DP keeps under a larger
+    # cap.
     scans = []
 
     def counting(*args, **kwargs):
@@ -180,24 +183,40 @@ def test_solve_volume_enumerates_where_the_dp_refuses(monkeypatch):
 
     monkeypatch.setattr(solve, "_scan", counting)
     d = GridDomain((12, 12))
-    region = Region.of(d, [(i, i) for i in range(8)])
-    mu = MeasureData(
-        d,
-        face_weights={Face(0, 1, (0,)): F(3, 2)},
-        cell_weights={(i, i): F(2 + i % 3, 1 + i % 2) for i in range(8)},
-    )
-    mf, mc = as_raw(mu)
-    perim = [(f.axis, f.slot, f.at) for f in region.closure_faces()]
-    truth = naive.minima_by_volume(d.dims, region.cells, (), {}, {}, mf, mc, perim)
-    energy = assemble(SignedPair.of(d, minus=mu), Dirichlet(a0=CellSet.empty(d), omega=region))
-    for v in range(1, 8):
-        result = solve_volume(v, mu, region, exhaustive_cap=10)
-        best, argmins = truth[v]
-        assert result.exact
-        assert result.value == best
-        assert result.minimizer.cells in argmins
-        assert result.minimizer == frontier_minimize(energy, volume=v, cap=22)[0]
-    assert len(scans) == 7
+    diagonal = [(i, i) for i in range(8)]
+    ell = [(0, j) for j in range(6)] + [(i, 0) for i in range(1, 6)]
+    for cells, cap, n_scans in [(diagonal, 10, 0), (ell, 11, 9)]:
+        scans.clear()
+        region = Region.of(d, cells)
+        mu = MeasureData(
+            d,
+            face_weights={Face(0, 1, (0,)): F(3, 2)},
+            cell_weights={c: F(2 + i % 3, 1 + i % 2) for i, c in enumerate(cells)},
+        )
+        mf, mc = as_raw(mu)
+        perim = [(f.axis, f.slot, f.at) for f in region.closure_faces()]
+        truth = naive.minima_by_volume(d.dims, region.cells, (), {}, {}, mf, mc, perim)
+        energy = assemble(SignedPair.of(d, minus=mu), Dirichlet(a0=CellSet.empty(d), omega=region))
+        for v in range(1, len(cells)):
+            result = solve_volume(v, mu, region, exhaustive_cap=cap)
+            best, argmins = truth[v]
+            assert result.exact
+            assert result.value == best
+            assert result.minimizer.cells in argmins
+            assert result.minimizer == frontier_minimize(energy, volume=v, cap=22)[0]
+        assert len(scans) == n_scans
+
+
+def test_solve_volume_envelope_is_exact_at_a_breakpoint_volume():
+    # a cell of mass 5 in a corner of 3x3, past both budgets at cap 2: the
+    # Lagrangian sweep has a piece of that cell alone, so v = 1 is exact
+    # without a certificate, and v = 2 is only bounded
+    d = GridDomain((3, 3))
+    mu = MeasureData(d, cell_weights={(0, 0): F(5)})
+    result = solve_volume(1, mu, exhaustive_cap=2)
+    assert (result.exactness, result.certificate, result.value) == ("exact", None, -1)
+    assert result.minimizer.cells == {(0, 0)}
+    assert solve_volume(2, mu, exhaustive_cap=2).exactness == "envelope-bound"
 
 
 def test_solve_volume_envelope_agrees_with_truth_when_checkable():
