@@ -91,7 +91,7 @@ def frontier_minimize(
         if sum(abs(x - y) for x, y in zip(u, w)) != 1:
             raise ValueError(f"covering pair {pair} is not a pair of face neighbours")
         pairs.append(ranks)
-    st = energy.strides
+    st = energy.strides  # not ``energy.hi``: nothing per term is kept before the check
     gaps = (rank[i + st[a]] - rank[i] for i, a in zip(energy.lo, energy.axis))
     width = max(chain(gaps, (q - p for p, q in pairs)), default=1)
     tracked = volume or 0
