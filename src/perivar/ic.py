@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -37,6 +38,7 @@ from .maxflow import (
     FlowNetwork,
     _breakpoints,
     _cut_network,
+    _maximal_source_side,
     _residual_reachable,
     augment,
     max_flow,
@@ -177,21 +179,6 @@ class ExcessResult:
 
     def __iter__(self):
         return iter((self.value, self.witness))
-
-
-def _maximal_source_side(net: FlowNetwork) -> frozenset:
-    """Nodes of the inclusion-maximal min cut (complement of sink-reaching)."""
-    reaching = {net.sink}
-    stack = [net.sink]
-    while stack:
-        v = stack.pop()
-        for i in net.adj[v]:
-            u = net.to[i]
-            # arc u -> v is i^1; it is residual if cap[i^1] > 0
-            if net.cap[i ^ 1] > 0 and u not in reaching:
-                reaching.add(u)
-                stack.append(u)
-    return frozenset(range(net.n_nodes)) - reaching
 
 
 def strong_excess(
@@ -499,14 +486,13 @@ def divergence_certificate(mu: MeasureData, C):
     for i, w in zip(_numbers(domain, mu.cell_weights), mu.cell_weights.values()):
         cell_mass[i] = _scaled(w, den)
 
-    net = FlowNetwork()
-    for _ in cells:
-        net.add_node()
     supply = list(cell_mass)
     heavy = []
     # per face: its sides' cell numbers, weight, arc and, on the boundary,
-    # what it supplies to its cell
+    # what it supplies to its cell; the face arcs come first, in face order,
+    # so the k-th arc listed is arc 2k
     recipe = []
+    arcs = []
     for face, (lo, hi) in zip(domain.faces(), _face_sides(domain.dims)):
         W = face_mass.get(face, 0)
         if W > 2 * Cs:
@@ -515,17 +501,19 @@ def divergence_certificate(mu: MeasureData, C):
             c = hi if lo is None else lo
             given, out = (W // 2 + Cs, 2 * Cs) if W > 2 * Cs else (W, Cs)
             supply[c] += given
-            recipe.append((lo, hi, W, net.add_arc(c + 2, net.sink, out), given))
+            recipe.append((lo, hi, W, 2 * len(arcs), given))
+            arcs.append((c + 2, 1, out, 0))
             continue
         supply[lo] += W // 2
         supply[hi] += W // 2
         each = Cs if W > 2 * Cs else Cs - W // 2
-        recipe.append((lo, hi, W, net.add_arc(lo + 2, hi + 2, each, each) if each else None, 0))
-    for i, s in enumerate(supply):
-        if s:
-            net.add_arc(net.source, i + 2, s)
+        recipe.append((lo, hi, W, 2 * len(arcs) if each else None, 0))
+        if each:
+            arcs.append((lo + 2, hi + 2, each, each))
+    arcs += [(0, i + 2, s, 0) for i, s in enumerate(supply) if s]
     total = sum(supply)
 
+    net = FlowNetwork(len(cells) + 2, arcs)
     result = max_flow(net)
     if total > result.value:
         # min-cut source side refutes routing; for weights <= 2C the deficit
@@ -583,11 +571,13 @@ def capacity(
     perimeter energy: the target cells and the sole cell of each one-sided
     target face are frozen in, and each two-sided target face is a
     covering pair.  When the sweep exceeds the budget of the resolved
-    ``exhaustive_cap`` (``resolve_cap``), branch and bound over the
-    two-sided covering choices, with min-cut relaxations as bounds, solves
-    it instead.  A sweep within the budget but past the memory raises
-    ``MemoryError`` unless no covering pair is left: then the branch and
-    bound's root, one min cut, is exact.
+    ``exhaustive_cap`` (``resolve_cap``), it runs once more with every cell
+    outside the bounding box of the targets' cells frozen out, which is
+    exact (see below).  When that sweep too exceeds the budget, branch and
+    bound over the two-sided covering choices, with min-cut relaxations as
+    bounds, solves it instead.  A box sweep within the budget but past the
+    memory raises ``MemoryError`` unless no covering pair is left: then the
+    branch and bound's root, one min cut, is exact.
     """
     faces = sorted(set(faces))
     cells = sorted(set(tuple(c) for c in cells))
@@ -611,12 +601,22 @@ def capacity(
 
     base = assemble(SignedPair.zero(domain), FullSpace())
     pairs = [inc for inc in or_faces if forced_in.isdisjoint(inc)]
+    energy = freeze(base, dict.fromkeys(forced_in, True))
+    cap = resolve_cap(exhaustive_cap)
+    with suppress(FrontierBudgetExceeded):
+        sol, val = frontier_minimize(energy, covering=pairs, cap=cap)
+        return val, sol
+
+    # Clipping a set to an axis-aligned box that holds every target cell
+    # keeps the cover and never adds perimeter: along each line of cells
+    # that leaves the box, the one face the clip adds replaces at least one
+    # boundary face of the set beyond the box.  So some least cover lies in
+    # the targets' bounding box, and the sweep can freeze the rest out.
+    targets = [*forced_in, *(c for inc in pairs for c in inc)]
+    box = CellSet.box(domain, tuple(map(min, zip(*targets))), tuple(map(max, zip(*targets))))
+    outside = {c: False for c in energy.free_cells if c not in box}
     try:
-        sol, val = frontier_minimize(
-            freeze(base, dict.fromkeys(forced_in, True)),
-            covering=pairs,
-            cap=resolve_cap(exhaustive_cap),
-        )
+        sol, val = frontier_minimize(freeze(energy, outside), covering=pairs, cap=cap)
     except FrontierBudgetExceeded as refused:
         if pairs and refused.fits_budget:  # the branch and bound would not end
             raise MemoryError(*refused.args) from None

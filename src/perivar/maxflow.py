@@ -2,13 +2,14 @@
 
 The solver is Boykov and Kolmogorov's search-tree max-flow on
 arbitrary-precision integers: no capacity is ever rounded, so thresholds
-like theta = 1 or w = 2 stay exact.  ``augment`` pushes from any node to
-any set of flagged sink nodes, keeping the flow already present.  Its
-source tree, and for a full solve a sink tree, persist across
-augmentations; orphaned subtrees are re-adopted from a queue, so no flow
-code recurses.  The trees live in per-network arrays, sized once and
-reset through the nodes each call touched, so a call that stays local
-(one probe of the excess sweep) costs what it touches, not the network.
+like theta = 1 or w = 2 stay exact.  A ``FlowNetwork`` is built once,
+from its whole arc list.  ``augment`` pushes from any node to any set of
+flagged sink nodes, keeping the flow already present.  Its source tree,
+and for a full solve a sink tree, persist across augmentations; orphaned
+subtrees are re-adopted from a queue, so no flow code recurses.  The
+trees live in per-network arrays, sized with the network and reset
+through the nodes each call touched, so a call that stays local (one
+probe of the excess sweep) costs what it touches, not the network.
 The maximum flow found is one of many; the canonical minimum cut is the
 set of nodes reachable from the source in the residual graph (the unique
 inclusion-minimal one), the same for every maximum flow, which makes
@@ -30,7 +31,7 @@ of a maximum one on grid energies, which ``augment`` completes.  Every
 answer moves: the value is base plus the total flow, and the
 inclusion-minimal cut, the maximal one and the flows the excess sweep's
 probes add are the same for every maximum flow.
-``ic.divergence_certificate`` builds its own network and decodes its
+``ic.divergence_certificate`` builds its own arc list and decodes its
 field from whichever flow it gets, so it takes no warm start.
 """
 
@@ -39,8 +40,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import List, Optional, Tuple
+from operator import eq, sub
+from typing import List, Optional, Sequence, Tuple
 
 from .energy import (
     BinaryEnergy,
@@ -68,63 +69,41 @@ class MalformedNetworkError(ValueError):
 class FlowNetwork:
     """Directed network with paired reverse arcs and big-int capacities.
 
-    Node 0 is the source, node 1 the sink.  Arcs are stored flat; arc i
-    and arc i^1 are reverses of each other.
+    Node 0 is the source, node 1 the sink.  The shape is fixed at
+    construction: arc k of ``arcs``, a tuple (tail, head, cap, rev_cap), is
+    arc 2k and its reverse arc 2k + 1, so arc i and arc i^1 are reverses of
+    each other; each node lists its arcs in arc order.  The lists are
+    checked once: at least two nodes, node ids in range, no self-loop, no
+    negative capacity.
     """
 
-    def __init__(self):
-        self.n_nodes = 2
-        self.adj: List[List[int]] = [[], []]
-        self.to: List[int] = []
-        self.cap: List[int] = []
-        # augment's per-node scratch, filled on first use (_search_arrays)
-        self._search: tuple = ([], [], [], [], [], [])
+    source = 0
+    sink = 1
 
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return 1
-
-    def add_node(self) -> int:
-        self.adj.append([])
-        self.n_nodes += 1
-        return self.n_nodes - 1
-
-    def add_arc(self, u: int, v: int, cap: int, rev_cap: int = 0) -> int:
-        """Add arc u->v with capacity cap (plus a reverse arc); returns its index."""
-        if u == v:
+    def __init__(self, n_nodes: int, arcs: Sequence[Tuple[int, int, int, int]]):
+        tails, heads, caps, rev_caps = zip(*arcs) if arcs else ((),) * 4
+        ends = tails + heads
+        if n_nodes < 2:
+            raise MalformedNetworkError("a network needs a source and a sink")
+        if any(map(eq, tails, heads)):
             raise MalformedNetworkError("self-loops are not allowed")
-        if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-            raise MalformedNetworkError(f"arc ({u}, {v}) references unknown nodes")
-        if cap < 0 or rev_cap < 0:
+        if min(ends, default=0) < 0 or max(ends, default=0) >= n_nodes:
+            raise MalformedNetworkError(f"an arc references a node outside 0..{n_nodes - 1}")
+        if min(caps + rev_caps, default=0) < 0:
             raise MalformedNetworkError("capacities must be nonnegative")
-        i = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((cap, rev_cap))
-        self.adj[u].append(i)
-        self.adj[v].append(i + 1)
-        return i
-
-    def _search_arrays(self) -> tuple:
-        """``augment``'s per-node arrays, regrown to the node count.
-
-        Side (0 free, 1 source tree, 2 sink tree), parent arc, queued side,
-        timestamp, distance to the root, and the flags of the default sink
-        set.  Between calls every side and queued side is 0.
-        """
-        arrays = self._search
-        missing = self.n_nodes - len(arrays[0])
-        if missing:
-            for array in arrays:
-                array.extend([0] * missing)
-            arrays[5][self.sink] = 1
-        return arrays
-
-    def snapshot(self) -> list:
-        return list(self.cap)
+        self.n_nodes = n_nodes
+        self.to = [0, 0] * len(tails)
+        self.to[::2], self.to[1::2] = heads, tails
+        self.cap = [0, 0] * len(tails)
+        self.cap[::2], self.cap[1::2] = caps, rev_caps
+        self.adj = adj = [[] for _ in range(n_nodes)]
+        for a, u, v in zip(range(0, len(self.to), 2), tails, heads):
+            adj[u].append(a)
+            adj[v].append(a + 1)
+        # augment's scratch: side (0 free, 1 source tree, 2 sink tree), parent
+        # arc, queued side, timestamp, distance to the root, and the default
+        # sink flags; between calls every side and queued side is 0
+        self._search = (*([0] * n_nodes for _ in range(5)), [0, 1] + [0] * (n_nodes - 2))
 
 
 @dataclass(frozen=True)
@@ -161,10 +140,10 @@ def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list
     (distances carry timestamps, so each path is verified once per
     augmentation) or freed, its children orphaned in turn, with a queue in
     place of recursion.  The call ends when the source tree has no active
-    node left.  The trees live in the network's scratch arrays, which the
-    call resets through the nodes it touched.
+    node left.  The trees live in the network's scratch arrays, sized when
+    it was built, which the call resets through the nodes it touched.
     """
-    tree, parent, active, ts, dist, sink_only = net._search_arrays()
+    tree, parent, active, ts, dist, sink_only = net._search
     adj, to, cap = net.adj, net.to, net.cap
     s = net.source if source is None else source
     if sinks is None:
@@ -334,7 +313,7 @@ def max_flow(net: FlowNetwork) -> CutResult:
     """A maximum flow with the canonical minimal min cut.
 
     Flow already in the network stays, and the value counts only the flow
-    this call adds: for a network fresh from ``add_arc`` that is the whole
+    this call adds: for a freshly built network that is the whole
     maximum flow, while ``_cut_network``'s warm start is counted in its
     base.  The flow left in the network is whichever maximum flow
     ``augment`` completes, not a canonical one; the total and the cut are
@@ -359,14 +338,19 @@ def _residual_reachable(net: FlowNetwork, start: Optional[int] = None) -> set:
     return seen
 
 
-def cut_capacity(net: FlowNetwork, source_side: frozenset, caps: list) -> int:
-    """Capacity of the given cut under the pristine capacities ``caps``."""
-    total = 0
-    for u in source_side:
-        for i in net.adj[u]:
-            if i % 2 == 0 and net.to[i] not in source_side:
-                total += caps[i]
-    return total
+def _maximal_source_side(net: FlowNetwork) -> frozenset:
+    """Nodes of the inclusion-maximal min cut (complement of sink-reaching)."""
+    reaching = {net.sink}
+    stack = [net.sink]
+    while stack:
+        v = stack.pop()
+        for i in net.adj[v]:
+            u = net.to[i]
+            # arc u -> v is i^1; it is residual if cap[i^1] > 0
+            if net.cap[i ^ 1] > 0 and u not in reaching:
+                reaching.add(u)
+                stack.append(u)
+    return frozenset(range(net.n_nodes)) - reaching
 
 
 def _cut_network(energy: BinaryEnergy):
@@ -398,20 +382,17 @@ def _cut_network(energy: BinaryEnergy):
         gain[j] += e11 - e10
         coeff = e01 + e10 - e00 - e11
         if coeff:
-            pairs.append((node[j], node[i], coeff))
+            pairs.append((node[j], node[i], coeff, 0))
 
-    net = FlowNetwork()
-    for _ in free:
-        net.add_node()
+    arcs = []  # terminal arcs first, in free-cell order, then the pairs
     for v, i in enumerate(free, 2):
         g = gain[i]
         if g > 0:
-            net.add_arc(v, net.sink, g)
+            arcs.append((v, 1, g, 0))
         elif g < 0:
-            net.add_arc(net.source, v, -g)
+            arcs.append((0, v, -g, 0))
             base += g
-    for u, w, cap in pairs:
-        net.add_arc(u, w, cap)
+    net = FlowNetwork(len(free) + 2, arcs + pairs)
     return net, base + _preflow(net)
 
 

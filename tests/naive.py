@@ -3,9 +3,10 @@
 Everything here works on raw tuples (dims, cells, (axis, slot, at) faces)
 and deliberately avoids the package's grid/measure/energy machinery, so
 test comparisons are genuinely two independent routes to the same number.
-Two exceptions check an engine on its own input: ``dinic_augment`` runs
-on a ``FlowNetwork``'s arc arrays, and ``energy_gray_walk`` walks a
-compiled ``BinaryEnergy`` one Gray step at a time.
+Two kinds of exception check an engine on its own input:
+``dinic_augment`` and ``cut_capacity`` run on a ``FlowNetwork``'s arc
+arrays, and ``energy_gray_walk`` walks a compiled ``BinaryEnergy`` one
+Gray step at a time.
 """
 
 import itertools
@@ -439,3 +440,14 @@ def dinic_augment(net, source=None, sinks=None):
                 u = to[path.pop() ^ 1]
             else:
                 break
+
+
+def cut_capacity(net, source_side, caps):
+    """Capacity of the given cut under the pristine capacities ``caps``,
+    counting the arcs as built (even arc numbers), not their reverses."""
+    total = 0
+    for u in source_side:
+        for i in net.adj[u]:
+            if i % 2 == 0 and net.to[i] not in source_side:
+                total += caps[i]
+    return total

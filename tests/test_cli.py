@@ -363,15 +363,17 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, error):
 
 
 def test_memory_error_exits_3(tmp_path, capsys):
-    # a 62-face target across 62x62: the frontier sweep's table of 2**62
-    # entries per cell fits the budget of 2**200 but no memory, so the sweep
-    # refuses it before allocating, and with 62 covering pairs left the
-    # branch and bound is no way out; keep the width past any memory
+    # a 62-face line across 62x62 plus one face at slot 1: the targets' box
+    # is 62x32, so even the box's sweep, with 2**32 entries per cell, fits
+    # the budget of 2**200 but no memory; it refuses before allocating, and
+    # with 63 covering pairs left the branch and bound is no way out; keep
+    # the width past any memory
     doc = {
         "grid": {"dims": [62, 62]},
         "problem": {
             "kind": "capacity",
-            "faces": [{"axis": 1, "slot": 31, "at": [x]} for x in range(62)],
+            "faces": [{"axis": 1, "slot": 31, "at": [x]} for x in range(62)]
+            + [{"axis": 1, "slot": 1, "at": [0]}],
         },
     }
     problem = write_problem(tmp_path, doc)
@@ -383,8 +385,8 @@ def test_memory_error_exits_3(tmp_path, capsys):
 
 def test_capacity_past_the_memory_without_covering_pairs(tmp_path, capsys):
     # three target cells of 64x64 at cap 200: the sweep's 2**64-wide table
-    # fits the budget but not the memory, and with no covering pair the
-    # branch and bound's root, one min cut, answers
+    # fits the budget but not the memory, and the sweep of the targets' 2x2
+    # box answers
     doc = {
         "grid": {"dims": [64, 64]},
         "problem": {"kind": "capacity", "cells": [[10, 10], [10, 11], [11, 10]]},

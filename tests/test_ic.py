@@ -711,6 +711,70 @@ def test_capacity_of_hyperplane_line():
         assert val == 2 * k + 2
 
 
+def _count_branch_and_bound(monkeypatch):
+    # the branch and bound prices each of its nodes with one min cut
+    calls = []
+    real = ic.minimize
+    monkeypatch.setattr(ic, "minimize", lambda energy: calls.append(1) or real(energy))
+    monkeypatch.delenv("PERIVAR_EXHAUSTIVE_CAP", raising=False)
+    return calls
+
+
+def test_capacity_of_wide_targets_sweeps_their_box(monkeypatch):
+    # too wide for one sweep at the default cap, but their bounding box is
+    # k x 2 (the line) or 12 x 12 (the cross along both midlines)
+    calls = _count_branch_and_bound(monkeypatch)
+    for n, value in ((62, 126), (30, 62)):
+        line = [Face(1, n // 2, (x,)) for x in range(n)]
+        val, witness = capacity(GridDomain((n, n)), faces=line)
+        assert val == value == perimeter(witness)
+        assert set(line) <= closure_faces(witness)
+    cross = [Face(axis, 8, (t,)) for axis in (0, 1) for t in range(2, 14)]
+    val, witness = capacity(GridDomain((16, 16)), faces=cross)
+    assert val == 48 == perimeter(witness)
+    assert set(cross) <= closure_faces(witness)
+    assert not calls
+
+
+def test_capacity_of_scattered_targets_past_the_memory(monkeypatch):
+    # two opposite corners of 64x64 at cap 200: the grid and the targets'
+    # box, the same, fit the budget but not the memory; with no covering
+    # pair the branch and bound's min cuts answer
+    calls = _count_branch_and_bound(monkeypatch)
+    val, witness = capacity(GridDomain((64, 64)), cells=[(0, 0), (63, 63)], exhaustive_cap=200)
+    assert val == 8 and witness.cells == {(0, 0), (63, 63)}
+    assert calls
+
+
+def test_capacity_box_route_matches_the_whole_sweep(rng, monkeypatch):
+    # at cap 5 no whole grid below fits one sweep, but a box of one or two
+    # cells does: the box route answers, with no branch and bound
+    calls = _count_branch_and_bound(monkeypatch)
+    sweeps = []
+    real = ic.frontier_minimize
+    monkeypatch.setattr(ic, "frontier_minimize", lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    for dims in ((4, 4), (3, 5), (2, 7), (2, 2, 3)):
+        d = GridDomain(dims)
+        for _ in range(10):
+            c = rng.choice(d.cells())
+            box = {c}
+            axis = rng.randrange(d.d)
+            if c[axis] + 1 < dims[axis] and rng.random() < 0.7:
+                box.add(c[:axis] + (c[axis] + 1,) + c[axis + 1:])
+            # every face whose cells all lie in the box, and the box's cells
+            near = [f for f in d.faces() if set(d.face_cells(f)) <= box]
+            cells = rng.sample(sorted(box), rng.randint(0 if near else 1, len(box)))
+            faces = rng.sample(near, rng.randint(0 if cells else 1, min(3, len(near))))
+            want, _ = capacity(d, faces=faces, cells=cells, exhaustive_cap=22)
+            sweeps.clear()
+            val, witness = capacity(d, faces=faces, cells=cells, exhaustive_cap=5)
+            assert len(sweeps) == 2  # the whole grid refused, then the box
+            assert val == want == perimeter(witness)
+            assert set(faces) <= closure_faces(witness)
+            assert set(cells) <= witness.cells
+    assert not calls
+
+
 def test_singular_sum_check_parallel_lines():
     d = GridDomain((4, 4))
     mu1 = hyperplane_measure(d, 1, 1, F(1))

@@ -31,19 +31,14 @@ from perivar import (
 )
 from perivar import maxflow
 from perivar.energy import CLOSURE, INTERIOR, assemble_excess
-from perivar.maxflow import _residual_reachable, augment, cut_capacity
+from perivar.maxflow import MalformedNetworkError, _residual_reachable, augment
 
 F = Fraction
 
 
 def test_max_flow_diamond():
-    net = FlowNetwork()
-    a, b = net.add_node(), net.add_node()
-    net.add_arc(net.source, a, 3)
-    net.add_arc(net.source, b, 2)
-    net.add_arc(a, b, 1)
-    net.add_arc(a, net.sink, 2)
-    net.add_arc(b, net.sink, 3)
+    a, b = 2, 3
+    net = FlowNetwork(4, [(0, a, 3, 0), (0, b, 2, 0), (a, b, 1, 0), (a, 1, 2, 0), (b, 1, 3, 0)])
     result = max_flow(net)
     assert result.value == 5
     assert net.source in result.source_side
@@ -52,35 +47,53 @@ def test_max_flow_diamond():
 
 def test_max_flow_equals_min_cut_enumerated(rng):
     for _ in range(30):
-        net = FlowNetwork()
-        nodes = [net.add_node() for _ in range(4)]
-        everyone = [net.source, net.sink] + nodes
-        for u in everyone:
-            for v in everyone:
-                if u != v and rng.random() < 0.4:
-                    net.add_arc(u, v, rng.randint(0, 6))
-        caps = net.snapshot()
+        nodes = [2, 3, 4, 5]
+        everyone = [0, 1] + nodes
+        net = FlowNetwork(6, [
+            (u, v, rng.randint(0, 6), 0)
+            for u in everyone
+            for v in everyone
+            if u != v and rng.random() < 0.4
+        ])
+        caps = list(net.cap)
         result = max_flow(net)
         # enumerate all s-t cuts
         best = min(
-            cut_capacity(
+            naive.cut_capacity(
                 net, frozenset({net.source}) | frozenset(side), caps
             )
             for r in range(len(nodes) + 1)
             for side in itertools.combinations(nodes, r)
         )
         assert result.value == best
-        assert cut_capacity(net, result.source_side, caps) == result.value
+        assert naive.cut_capacity(net, result.source_side, caps) == result.value
+
+
+@pytest.mark.parametrize(
+    "n_nodes, arcs, message",
+    [
+        (4, [(0, 2, 1, 0), (2, 2, 1, 0)], "self-loops"),
+        (4, [(0, 2, 1, 0), (-1, 3, 1, 0)], "outside 0..3"),
+        (4, [(0, 2, 1, 0), (3, 4, 1, 0)], "outside 0..3"),
+        (4, [(0, 2, 1, 0), (2, 1, -1, 0)], "nonnegative"),
+        (4, [(0, 2, 1, 0), (2, 1, 1, -1)], "nonnegative"),
+        (1, [], "a source and a sink"),
+    ],
+)
+def test_network_rejects_malformed_input(n_nodes, arcs, message):
+    with pytest.raises(MalformedNetworkError, match=message):
+        FlowNetwork(n_nodes, arcs)
+
+
+def _path(n, caps, last):
+    """Network of one path 0 -> 2 -> 3 -> ... -> n + 1 -> 1 with the given
+    capacities along its first n arcs and ``last`` into the sink."""
+    arcs = [(v - 1 if v > 2 else 0, v, c, 0) for v, c in enumerate(caps, 2)]
+    return FlowNetwork(n + 2, arcs + [(n + 1, 1, last, 0)])
 
 
 def test_augment_long_path_without_recursion():
-    net = FlowNetwork()
-    u = net.source
-    for _ in range(100_000):
-        v = net.add_node()
-        net.add_arc(u, v, 2)
-        u = v
-    net.add_arc(u, net.sink, 1)
+    net = _path(100_000, [2] * 100_000, 1)
     assert augment(net) == 1
     assert len(_residual_reachable(net)) == net.n_nodes - 1
 
@@ -116,15 +129,6 @@ def _grid_arcs(rng, dims):
     return 2 + len(cells), [(u, v, int(c * den), int(r * den)) for u, v, c, r in raw]
 
 
-def _network(n_nodes, arcs):
-    net = FlowNetwork()
-    while net.n_nodes < n_nodes:
-        net.add_node()
-    for arc in arcs:
-        net.add_arc(*arc)
-    return net
-
-
 GRID_DIMS = ((4, 5), (6, 6), (9, 2), (3, 3, 3), (2, 4, 3))
 
 
@@ -132,7 +136,7 @@ def test_augment_matches_dinic_on_grid_networks(rng):
     for dims in GRID_DIMS:
         for _ in range(4):
             n, arcs = _grid_arcs(rng, dims)
-            net, ref = _network(n, arcs), _network(n, arcs)
+            net, ref = FlowNetwork(n, arcs), FlowNetwork(n, arcs)
             assert augment(net) == naive.dinic_augment(ref)
             assert _residual_reachable(net) == _residual_reachable(ref)
 
@@ -147,28 +151,21 @@ def test_augment_matches_dinic_on_grid_networks(rng):
                 sinks[v] = True
 
 
-def test_augment_scratch_state_is_reset_and_regrown(rng):
-    # one network serves calls from varying sources to varying flag sets,
-    # with nodes added between calls; each call acts exactly as on a fresh
-    # network with the same residual capacities
+def test_augment_scratch_state_is_reset_between_calls(rng):
+    # one network serves 30 calls from varying sources to varying flag
+    # sets; each call acts exactly as on a fresh network with the same
+    # residual capacities
     n, arcs = _grid_arcs(rng, (4, 4))
-    net = _network(n, arcs)
+    net = FlowNetwork(n, arcs)
     for step in range(30):
         source = sinks = None
-        if step % 6 == 5:
-            source = net.add_node()
-            n += 1
-            for v in rng.sample(range(n - 1), 3):
-                cap, rev = rng.randint(0, 9), rng.randint(0, 9)
-                arcs.append((v, source, cap, rev) if rng.random() < 0.5 else (source, v, cap, rev))
-                net.add_arc(*arcs[-1])
-        elif step % 3:
+        if step % 3:
             source = rng.randrange(n)
         if source is not None or rng.random() < 0.5:
             others = [v for v in range(n) if v != source]
             flagged = set(rng.sample(others, rng.randint(1, 3)))
             sinks = [v in flagged for v in range(n)]
-        fresh = _network(n, arcs)
+        fresh = FlowNetwork(n, arcs)
         fresh.cap[:] = net.cap
         assert augment(net, source, sinks) == augment(fresh, source, sinks)
         assert net.cap == fresh.cap
@@ -179,13 +176,8 @@ def test_augment_scratch_state_is_reset_and_regrown(rng):
 def test_augment_allocates_for_the_nodes_it_touches_only():
     # the scratch arrays are sized once per network: a later call that
     # touches a handful of nodes allocates no per-node array
-    net = FlowNetwork()
-    u = net.source
-    for k in range(100_000):
-        v = net.add_node()
-        net.add_arc(u, v, 2 - (k == 0))
-        u = v
-    net.add_arc(u, net.sink, 2)
+    net = _path(100_000, [1] + [2] * 99_999, 2)
+    u = net.n_nodes - 1
     assert augment(net) == 1
     sinks = [False] * net.n_nodes
     sinks[net.sink] = sinks[u - 2] = True
@@ -225,14 +217,13 @@ def test_augment_with_sink_flags_matches_networkx(rng):
         return nx.maximum_flow_value(g, source, "super-sink")
 
     for _ in range(60):
-        net = FlowNetwork()
-        for _ in range(5):
-            net.add_node()
-        for u in range(net.n_nodes):
-            for v in range(net.n_nodes):
-                if u != v and rng.random() < 0.35:
-                    net.add_arc(u, v, rng.randint(0, 6), rng.choice([0, 0, 2]))
-        caps = net.snapshot()
+        net = FlowNetwork(7, [
+            (u, v, rng.randint(0, 6), rng.choice([0, 0, 2]))
+            for u in range(7)
+            for v in range(7)
+            if u != v and rng.random() < 0.35
+        ])
+        caps = list(net.cap)
         source = rng.randrange(net.n_nodes)
         others = [v for v in range(net.n_nodes) if v != source]
         rng.shuffle(others)
@@ -452,6 +443,24 @@ def test_cut_network_carries_a_valid_flow(rng):
             inflow[v] += net.cap[a ^ 1]
         assert inflow[2:] == outflow[2:]
         assert outflow[src] == inflow[snk] == base - bare_base
+
+
+def test_cut_network_lists_each_node_terminal_arc_first(rng):
+    # _preflow sends each node's inflow down its arcs in adjacency order:
+    # arcs ascend, and an inner node's terminal arc, if any, comes first
+    for energy, _ in _cut_energies(rng, WARM_SMALL + WARM_LARGE, 30):
+        net, _ = maxflow._cut_network(energy)
+        terminal = {}  # inner node -> the arc it holds to or from a terminal
+        for a in range(0, len(net.to), 2):
+            u, v = net.to[a ^ 1], net.to[a]
+            if u == net.source:
+                terminal[v] = a + 1  # the inner node holds the reverse arc
+            elif v == net.sink:
+                terminal[u] = a
+        for v, arcs in enumerate(net.adj):
+            assert arcs == sorted(arcs)
+            if v in terminal:
+                assert arcs[0] == terminal[v]
 
 
 def test_warm_minimize_matches_enumeration_and_dinic(rng):
