@@ -384,7 +384,7 @@ def _cut_network(energy: BinaryEnergy):
         if coeff:
             pairs.append((node[j], node[i], coeff, 0))
 
-    arcs = []  # terminal arcs first, in free-cell order, then the pairs
+    arcs = []  # terminal arcs first: _preflow pushes down each terminal arc first
     for v, i in enumerate(free, 2):
         g = gain[i]
         if g > 0:
