@@ -3,7 +3,9 @@
 A ``GridDomain`` is a d-dimensional box of unit cells (d in {1, 2, 3}).
 Faces are the codimension-1 interfaces between cells, addressed as
 ``(axis, slot, transverse coords)``; slot 0 and slot ``dims[axis]`` are
-grid-boundary faces with a single incident cell.  Everything outside the
+grid-boundary faces with a single incident cell.  Each grid shape has one
+``Face`` object per face, made on first use and shared by ``faces()``,
+``cell_faces`` and every face set built from them.  Everything outside the
 grid is permanently empty ("exterior-empty" convention), so grid-boundary
 faces contribute to the perimeter of any set touching them.
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -22,7 +25,7 @@ from typing import Iterable, Optional
 Cell = tuple  # tuple[int, ...] of length d
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Face:
     """Face address: normal axis, slot along it, transverse cell coords."""
 
@@ -52,6 +55,14 @@ def _check_same_domain(*objs) -> None:
 
 @dataclass(frozen=True)
 class GridDomain:
+    """A box of unit cells with extents ``dims``.
+
+    Equal shapes share their caches, which each distinct ``dims`` keeps for
+    the life of the process: the ``cells()`` tuple, the face table (one
+    entry per face, filled on first use), the ``faces()`` tuple and the
+    ``full_region()`` with the face sets it computes.
+    """
+
     dims: tuple
 
     def __post_init__(self):
@@ -100,14 +111,40 @@ class GridDomain:
     @functools.cache
     def faces(self) -> tuple:
         """All faces, ordered by (axis, slot, transverse coords)."""
-        out = []
         for a in range(self.d):
-            trans_dims = tuple(m for b, m in enumerate(self.dims) if b != a)
-            trans = GridDomain(trans_dims).cells() if trans_dims else ((),)
             for s in range(self.dims[a] + 1):
-                for at in trans:
-                    out.append(Face(a, s, at))
-        return tuple(out)
+                self._slot_faces(a, s)
+        return tuple(self._face_table()[1])
+
+    @functools.cache
+    def _face_table(self) -> tuple:
+        """Per axis, the offset of its faces in ``faces()`` order, the faces
+        per slot and the transverse coords' strides (0 at the axis itself);
+        then one entry per face in that order, None until first used."""
+        axes, offset = [], 0
+        for a in range(self.d):
+            strides, per_slot = [0] * self.d, 1
+            for b in reversed(range(self.d)):
+                if b != a:
+                    strides[b] = per_slot
+                    per_slot *= self.dims[b]
+            axes.append((offset, per_slot, strides))
+            offset += per_slot * (self.dims[a] + 1)
+        return axes, [None] * offset
+
+    def _slot_faces(self, axis: int, slot: int) -> list:
+        """The faces of one axis/slot hyperplane, by transverse coords; the
+        caller checks that the grid has that hyperplane."""
+        axes, table = self._face_table()
+        offset, per_slot, _ = axes[axis]
+        lo = offset + slot * per_slot
+        if None in table[lo:lo + per_slot]:
+            trans_dims = self.dims[:axis] + self.dims[axis + 1:]
+            trans = GridDomain(trans_dims).cells() if trans_dims else ((),)
+            for k, at in enumerate(trans, lo):
+                if table[k] is None:
+                    table[k] = Face(axis, slot, at)
+        return table[lo:lo + per_slot]
 
     def contains_cell(self, cell: Cell) -> bool:
         return len(cell) == self.d and all(
@@ -149,12 +186,24 @@ class GridDomain:
         return at[:face.axis] + (coord,) + at[face.axis:]
 
     def cell_faces(self, cell: Cell) -> tuple:
-        """The 2d faces bounding one cell."""
+        """The 2d faces bounding one cell, lower then upper along each axis.
+
+        The faces are the grid's shared objects: each face's entry in the
+        face table comes from stride arithmetic, and a ``Face`` is made only
+        for an entry not yet filled.  A cell off the grid raises rather than
+        fill an entry.
+        """
+        axes, table = self._face_table()
         out = []
-        for a in range(self.d):
-            at = tuple(c for b, c in enumerate(cell) if b != a)
-            out.append(Face(a, cell[a], at))
-            out.append(Face(a, cell[a] + 1, at))
+        for a, (offset, per_slot, strides) in enumerate(axes):
+            lower = offset + cell[a] * per_slot + sum(map(operator.mul, cell, strides))
+            for slot, k in ((cell[a], lower), (cell[a] + 1, lower + per_slot)):
+                face = table[k]
+                if face is None:
+                    if not self.contains_cell(cell):
+                        raise OutOfBoundsError(f"cell {cell} outside domain {self.dims}")
+                    face = table[k] = Face(a, slot, cell[:a] + cell[a + 1:])
+                out.append(face)
         return tuple(out)
 
     def is_boundary_face(self, face: Face) -> bool:

@@ -128,7 +128,7 @@ def hyperplane_measure(domain: GridDomain, axis: int, slot: int, weight) -> Meas
     if not 0 <= slot <= domain.dims[axis]:
         raise ValueError(f"slot {slot} out of range [0, {domain.dims[axis]}]")
     weight = _as_weight(weight)
-    faces = {f: weight for f in domain.faces() if f.axis == axis and f.slot == slot}
+    faces = dict.fromkeys(domain._slot_faces(axis, slot), weight)
     return MeasureData._derived(domain, {}, faces)
 
 

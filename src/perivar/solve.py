@@ -11,6 +11,7 @@ volumes and certified value brackets elsewhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
@@ -109,27 +110,34 @@ def _greedy_resize(energy: BinaryEnergy, start: CellSet, target: int) -> CellSet
 
     Each step takes the first cell, in sorted order, whose flip gives the
     strictly lowest energy.  Flips are scored by their integer delta from
-    ``flip_links``, given which neighbours are in.
+    ``flip_links``, given which neighbours are in; a flip changes only its
+    neighbours' deltas, and a heap keyed by (delta, k) skips stale entries.
     """
     gain, links = flip_links(energy)
     free = energy.free_cells
-    current = {k for k, c in enumerate(free) if c in start.cells}
+    inside = [c in start.cells for c in free]
     target -= energy.state.count(1)  # the frozen-in cells count in |A|
-    while len(current) != target:
-        grow = len(current) < target
-        best, best_delta = None, None
-        for k in range(len(free)):  # sorted cell order
-            if (k in current) == grow:
-                continue
-            delta = gain[k] + sum(c for other, c in links[k] if other in current)
-            if not grow:
-                delta = -delta
-            if best_delta is None or delta < best_delta:
-                best, best_delta = k, delta
-        if best is None:
+    steps = target - sum(inside)
+    grow = steps > 0  # every flip moves |A| the same way
+    delta = [None] * len(free)
+    for k in range(len(free)):
+        if inside[k] != grow:
+            d = gain[k] + sum(c for other, c in links[k] if inside[other])
+            delta[k] = d if grow else -d
+    heap = [(d, k) for k, d in enumerate(delta) if d is not None]
+    heapq.heapify(heap)
+    for _ in range(abs(steps)):
+        while heap and heap[0][0] != delta[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
             raise EmptyClassError("no free cells left to reach the target volume")
-        current ^= {best}
-    return energy.full_set(frozenset(free[k] for k in current))
+        _, k = heapq.heappop(heap)
+        inside[k], delta[k] = grow, None
+        for other, c in links[k]:  # either way, other's delta rises by c
+            if delta[other] is not None:
+                delta[other] += c
+                heapq.heappush(heap, (delta[other], other))
+    return energy.full_set(frozenset(c for c, x in zip(free, inside) if x))
 
 
 def solve_volume(

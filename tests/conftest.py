@@ -54,6 +54,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {n}: {verdict} — {label}")
 
 
+def counted(counts, name, fn):
+    """fn, with each call counted in counts[name]."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def rand_weight(rng, lo=0, hi=2, dens=(1, 2, 3, 4)):
     """Rational in [lo, hi] with a small denominator."""
     den = rng.choice(dens)

@@ -5,8 +5,8 @@ and deliberately avoids the package's grid/measure/energy machinery, so
 test comparisons are genuinely two independent routes to the same number.
 Two kinds of exception check an engine on its own input:
 ``dinic_augment`` and ``cut_capacity`` run on a ``FlowNetwork``'s arc
-arrays, and ``energy_gray_walk`` walks a compiled ``BinaryEnergy`` one
-Gray step at a time.
+arrays, and ``energy_gray_walk`` and ``greedy_resize`` walk a compiled
+``BinaryEnergy`` one step at a time.
 """
 
 import itertools
@@ -369,6 +369,35 @@ def energy_gray_walk(energy):
     ]
     best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_key[v]))
     return per_volume[best][0], per_volume[best][1], per_volume
+
+
+def greedy_resize(energy, start, target):
+    """Move |A| to the target one best single-cell flip at a time.
+
+    Each step rescores every candidate free cell and takes the first, in
+    sorted order, whose flip gives the strictly lowest energy.  The repair
+    of ``solve._greedy_resize`` before it kept deltas in a heap, kept as
+    the reference it is compared against.
+    """
+    gain, links = flip_links(energy)
+    free = energy.free_cells
+    current = {k for k, c in enumerate(free) if c in start.cells}
+    target -= energy.state.count(1)  # the frozen-in cells count in |A|
+    while len(current) != target:
+        grow = len(current) < target
+        best, best_delta = None, None
+        for k in range(len(free)):  # sorted cell order
+            if (k in current) == grow:
+                continue
+            delta = gain[k] + sum(c for other, c in links[k] if other in current)
+            if not grow:
+                delta = -delta
+            if best_delta is None or delta < best_delta:
+                best, best_delta = k, delta
+        if best is None:
+            raise ValueError("no free cells left to reach the target volume")
+        current ^= {best}
+    return energy.full_set(frozenset(free[k] for k in current))
 
 
 def dinic_augment(net, source=None, sinks=None):

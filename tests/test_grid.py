@@ -1,5 +1,10 @@
+import copy
 import gc
 import math
+import pickle
+import sys
+import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -226,3 +231,80 @@ def test_box_matches_its_definition(rng):
     assert CellSet.box(d, (2, 0), (1, 3)).volume == 0
     assert CellSet.box(d, (-5, -5), (9, 9)) == CellSet.full(d)
     assert CellSet.box(d, (5, 0), (7, 3)).volume == 0
+
+
+SHARED_FACE_DIMS = [(7,), (1, 5), (5, 1), (3, 4), (2, 3, 4), (1, 1, 3)]
+
+
+def test_cell_faces_match_naive_order():
+    for dims in SHARED_FACE_DIMS:
+        d = GridDomain(dims)
+        for c in d.cells():
+            want = tuple(
+                Face(*f) for f in naive.all_faces(dims) if c in naive.face_sides(dims, f)
+            )
+            assert d.cell_faces(c) == want
+
+
+def test_a_stray_cell_leaves_the_face_table_true():
+    d = GridDomain((3, 7))
+    for cell in [(3, 0), (0, 7), (-1, 2), (2, -1)]:
+        with pytest.raises(OutOfBoundsError):
+            d.cell_faces(cell)
+    assert d.faces() == tuple(Face(*f) for f in naive.all_faces(d.dims))
+
+
+def test_face_sets_hold_the_grids_own_faces(rng):
+    # face sets built before and after faces() share its objects
+    for dims in SHARED_FACE_DIMS:
+        d = GridDomain(dims)
+        A = rand_cellset(rng, d)
+        region = Region(d, rand_cellset(rng, d).cells)
+        made = [closure_faces(A), interior_faces(A), boundary_faces(A),
+                region.closure_faces(), region.interior_faces()]
+        made += [d.cell_faces(c) for c in d.cells()]
+        own = {f: f for f in d.faces()}
+        assert len(own) == d.face_count
+        for faces in made:
+            assert all(own[f] is f for f in faces)
+
+
+def test_faces_are_slotted_values(rng):
+    d = GridDomain((2, 3, 4))
+    faces = list(d.faces())
+    assert not hasattr(faces[0], "__dict__")
+    for f in faces:
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g == f and hash(g) == hash(f)
+    rng.shuffle(faces)
+    assert sorted(faces) == sorted(faces, key=lambda f: (f.axis, f.slot, f.at))
+
+
+def test_closure_of_a_full_grid_keeps_no_new_faces():
+    d = GridDomain((64, 64))
+    d.faces()
+    full = CellSet.full(d)
+    tracemalloc.start()
+    try:
+        result = closure_faces(full)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == d.face_count
+    assert kept <= sys.getsizeof(result) + 16 * 1024
+
+
+def test_first_closure_on_a_big_grid_fills_only_its_faces():
+    d = GridDomain((64, 64, 64))
+    A = CellSet.of(d, [(0, 0, 0), (5, 40, 7), (63, 63, 63)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = closure_faces(A)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 18
+    assert elapsed < 0.1
+    assert peak < 8 * 2**20

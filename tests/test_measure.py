@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_cellset, rand_domain, rand_measure
+from conftest import as_raw, counted, rand_cellset, rand_domain, rand_measure
 from perivar import (
     CellSet,
     Face,
@@ -119,6 +119,22 @@ def test_hyperplane_measure_lines_up():
         hyperplane_measure(d, 1, 4, F(1))
     with pytest.raises(ValueError):
         hyperplane_measure(d, 2, 0, F(1))
+
+
+def test_hyperplane_measure_reads_only_its_slot(monkeypatch):
+    # the same faces, in the same order, as filtering every face of the grid
+    for dims in [(7,), (3, 4), (2, 3, 4)]:
+        d = GridDomain(dims)
+        for axis in range(d.d):
+            for slot in range(dims[axis] + 1):
+                mu = hyperplane_measure(d, axis, slot, F(3, 2))
+                plane = [f for f in d.faces() if (f.axis, f.slot) == (axis, slot)]
+                assert list(mu.face_weights.items()) == [(f, F(3, 2)) for f in plane]
+    counts = {}
+    monkeypatch.setattr(Face, "__init__", counted(counts, "Face", Face.__init__))
+    mu = hyperplane_measure(GridDomain((64, 64, 64)), 1, 32, F(2))
+    assert len(mu.face_weights) == 64 * 64
+    assert counts.get("Face", 0) <= 64 * 64
 
 
 def test_boundary_measure_mass_is_theta_perimeter():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, rand_cellset, rand_submodular_pair, rand_weight
+from conftest import as_raw, counted, rand_cellset, rand_submodular_pair, rand_weight
 from perivar import (
     CellSet,
     Dirichlet,
@@ -277,9 +277,11 @@ def _rand_signed_measure(rng, domain, faces, cells):
     )
 
 
-def test_greedy_resize_matches_evaluate_route(rng):
-    for trial in range(40):
-        d = GridDomain(rng.choice([(4, 4), (9,), (3, 2, 2), (5, 3)]))
+def _resize_cases(rng, shapes, trials):
+    """(energy, start, target) on random energies, every other one a
+    Dirichlet pool whose cells outside omega are frozen, some of them in."""
+    for trial in range(trials):
+        d = GridDomain(rng.choice(shapes))
         cells = list(d.cells())
         if trial % 2:
             mode = FullSpace()
@@ -300,22 +302,35 @@ def test_greedy_resize_matches_evaluate_route(rng):
         for _ in range(4):
             start = energy.full_set(frozenset(c for c in free if rng.random() < 0.5))
             target = len(ones) + rng.randint(0, len(free))
-            want = _greedy_resize_by_evaluate(energy, start, target)
-            assert _greedy_resize(energy, start, target) == want
-            assert want.volume == target
+            yield energy, start, target
+
+
+def test_greedy_resize_matches_evaluate_route(rng):
+    for energy, start, target in _resize_cases(rng, [(4, 4), (9,), (3, 2, 2), (5, 3)], 40):
+        want = _greedy_resize_by_evaluate(energy, start, target)
+        assert _greedy_resize(energy, start, target) == want
+        assert want.volume == target
+
+
+def test_greedy_resize_matches_the_rescoring_loop(rng):
+    # the two references agree on the small families; the heap agrees with
+    # the loop on pools too big to evaluate per candidate
+    for energy, start, target in _resize_cases(rng, [(4, 4), (9,), (3, 2, 2), (5, 3)], 20):
+        want = _greedy_resize_by_evaluate(energy, start, target)
+        assert naive.greedy_resize(energy, start, target) == want
+    for energy, start, target in _resize_cases(rng, [(12, 12), (40,), (5, 5, 4)], 12):
+        assert _greedy_resize(energy, start, target) == naive.greedy_resize(energy, start, target)
+    # past the free cells there is no set of the target volume
+    with pytest.raises(EmptyClassError):
+        _greedy_resize(energy, start, len(energy.frozen_ones()) + len(energy.free_cells) + 1)
+    with pytest.raises(EmptyClassError):
+        _greedy_resize(energy, start, len(energy.frozen_ones()) - 1)
 
 
 def test_grid_cut_solvers_build_no_face_objects(monkeypatch):
     # the submodular energy of an obstacle or Dirichlet problem compiles by
     # stride arithmetic: no incident-cell lookups and no Face, per face
     counts = {}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     calls = []
     for dims in ((40, 40), (10, 10, 10)):
         d = GridDomain(dims)
@@ -335,8 +350,8 @@ def test_grid_cut_solvers_build_no_face_objects(monkeypatch):
         ]
     with monkeypatch.context() as m:
         for name in ("lower_cell", "upper_cell", "face_cells"):
-            m.setattr(GridDomain, name, counted(name, getattr(GridDomain, name)))
-        m.setattr(Face, "__init__", counted("Face", Face.__init__))
+            m.setattr(GridDomain, name, counted(counts, name, getattr(GridDomain, name)))
+        m.setattr(Face, "__init__", counted(counts, "Face", Face.__init__))
         results = [solve(*args) for solve, *args in calls]
         assert counts == {}
         # the counters do see such work
