@@ -114,8 +114,7 @@ def _solve_from_problem(pf: ProblemFile, cap: Optional[int]):
     if kind == "obstacle":
         inner = _parse_cellset(pf.domain, spec.get("inner"), default_all=False)
         outer = _parse_cellset(pf.domain, spec.get("outer"), default_all=True)
-        region = None if len(pf.region.cells) == pf.domain.cell_count else pf.region
-        return solve_obstacle(inner, outer, pf.pair, region)
+        return solve_obstacle(inner, outer, pf.pair, pf.region)
     if kind == "dirichlet":
         a0 = _parse_cellset(pf.domain, spec.get("a0"), default_all=False)
         return solve_dirichlet(a0, pf.region, pf.pair)
@@ -124,8 +123,7 @@ def _solve_from_problem(pf: ProblemFile, cap: Optional[int]):
             raise CliInputError("volume problem requires 'v'")
         if not pf.pair.plus.is_zero:
             raise CliInputError("volume problem requires mu_plus = 0")
-        region = None if len(pf.region.cells) == pf.domain.cell_count else pf.region
-        return solve_volume(spec["v"], pf.pair.minus, region, exhaustive_cap=cap)
+        return solve_volume(spec["v"], pf.pair.minus, pf.region, exhaustive_cap=cap)
     raise CliInputError(f"cannot minimize a problem of kind {kind!r}")
 
 
@@ -269,8 +267,10 @@ def _parse_scalar(raw: str):
         pass
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return raw
+    except ZeroDivisionError:
+        raise CliInputError(f"--param value {raw!r} has a zero denominator") from None
 
 
 def cmd_experiment(args) -> int:
@@ -280,9 +280,6 @@ def cmd_experiment(args) -> int:
             f"unknown scenario {name!r}; available: {sorted(experiments.SCENARIOS)}"
         )
     params = _parse_params(args.param)
-    for key in ("lengths", "shifts", "thetas", "ks", "ells", "factors", "sizes"):
-        if key in params and not isinstance(params[key], list):
-            params[key] = [params[key]]
     scenario = experiments.SCENARIOS[name]
     try:
         # only the binding is checked: a TypeError inside a scenario is a library fault

@@ -8,8 +8,10 @@ columns report, they do not extrapolate.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -73,6 +75,31 @@ def write_report(report: ScenarioReport, outdir) -> ScenarioReport:
     return final
 
 
+def _finish(scenario, params, columns, rows, verdicts, frames, outdir) -> ScenarioReport:
+    """The scenario's report, written under outdir when one is given."""
+    report = ScenarioReport(scenario, params, columns, tuple(rows), verdicts, tuple(frames))
+    return write_report(report, outdir) if outdir is not None else report
+
+
+def _as_list(values) -> list:
+    """A list parameter's values; one value is a list of one."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        return [values]
+    return list(values)
+
+
+def _ints(name: str, values, least: int) -> List[int]:
+    """Sorted distinct integers of a list parameter, none below ``least``."""
+    ints = set()
+    for x in _as_list(values):
+        if not isinstance(x, Real) or x != int(x):
+            raise ValueError(f"{name} takes integers, not {x}")
+        ints.add(int(x))
+    if not ints or min(ints) < least:
+        raise ValueError(f"{name} must be integers >= {least}")
+    return sorted(ints)
+
+
 def _value_of(pair: SignedPair, A: CellSet) -> Fraction:
     return evaluate(assemble(pair, FullSpace()), A)
 
@@ -92,9 +119,7 @@ def run_tentacle(
     w = Fraction(w)
     if w < 0:
         raise ValueError("w must be nonnegative")
-    lengths = sorted(set(int(k) for k in lengths))
-    if not lengths or lengths[0] < 1:
-        raise ValueError("lengths must be positive")
+    lengths = _ints("lengths", lengths, 1)
     k_max = lengths[-1]
     domain = GridDomain((blob + k_max, blob + 1))
     blob_set = CellSet.box(domain, (0, 0), (blob - 1, blob - 1))
@@ -130,15 +155,8 @@ def run_tentacle(
         "liminf >= limit": not violated,
         "violation expected (w > 2)": w > 2,
     }
-    report = ScenarioReport(
-        scenario="tentacle",
-        params={"w": w, "lengths": lengths, "blob": blob},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"w": w, "lengths": lengths, "blob": blob}
+    return _finish("tentacle", params, columns, rows, verdicts, frames, outdir)
 
 
 def run_runaway_slab(L: int, shifts: Sequence[int], outdir=None) -> ScenarioReport:
@@ -149,9 +167,9 @@ def run_runaway_slab(L: int, shifts: Sequence[int], outdir=None) -> ScenarioRepo
     convergence as soon as L > 1.
     """
     L = int(L)
-    shifts = sorted(set(int(s) for s in shifts))
-    if L < 1 or not shifts or shifts[0] < 0:
-        raise ValueError("need L >= 1 and nonnegative shifts")
+    if L < 1:
+        raise ValueError("need L >= 1")
+    shifts = _ints("shifts", shifts, 0)
     width = L + shifts[-1]
     domain = GridDomain((width, 3))
     lines = {}
@@ -179,15 +197,8 @@ def run_runaway_slab(L: int, shifts: Sequence[int], outdir=None) -> ScenarioRepo
         "constant sequence": constant,
         "LSC fails under local-only convergence": failure,
     }
-    report = ScenarioReport(
-        scenario="runaway-slab",
-        params={"L": L, "shifts": shifts},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"L": L, "shifts": shifts}
+    return _finish("runaway-slab", params, columns, rows, verdicts, frames, outdir)
 
 
 def _centered_box(domain: GridDomain, size: Tuple[int, ...]) -> CellSet:
@@ -203,13 +214,14 @@ def run_convex_threshold(thetas: Sequence, grid: int = 4, outdir=None) -> Scenar
     above it the box wins, and at theta = 1 both are optimal (the canonical
     minimizer is the empty set).
     """
+    thetas = sorted(Fraction(t) for t in _as_list(thetas))
     domain = GridDomain((grid, grid))
     K = _centered_box(domain, (2, 2))
     columns = ("theta", "minimizer_volume", "value", "value_empty", "value_K")
     rows = []
     frames = []
     verdict_rows: Dict[str, str] = {}
-    for theta in sorted(Fraction(t) for t in thetas):
+    for theta in thetas:
         mu = boundary_measure(K, theta)
         pair = SignedPair(MeasureData.zero(domain), mu)
         result = solve_obstacle(CellSet.empty(domain), CellSet.full(domain), pair)
@@ -229,22 +241,13 @@ def run_convex_threshold(thetas: Sequence, grid: int = 4, outdir=None) -> Scenar
             verdict_rows[str(theta)] = "K"
         else:
             verdict_rows[str(theta)] = "other"
-    report = ScenarioReport(
-        scenario="convex-threshold",
-        params={"thetas": [str(t) for t in sorted(Fraction(t) for t in thetas)], "grid": grid},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdict_rows,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"thetas": [str(t) for t in thetas], "grid": grid}
+    return _finish("convex-threshold", params, columns, rows, verdict_rows, frames, outdir)
 
 
 def run_capacity_scaling(ks: Sequence[int], outdir=None) -> ScenarioReport:
     """Covering cost of k collinear interior faces: 2k + 2, ratio to 2k -> 1."""
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ValueError("k values must be positive")
+    ks = _ints("ks", ks, 1)
     columns = ("k", "capacity", "target_mass_2k", "ratio")
     rows = []
     frames = []
@@ -259,15 +262,7 @@ def run_capacity_scaling(ks: Sequence[int], outdir=None) -> ScenarioReport:
         "ratio nonincreasing": all(a >= b for a, b in zip(ratios, ratios[1:])),
         "matches 2k+2": all(r[1] == 2 * r[0] + 2 for r in rows),
     }
-    report = ScenarioReport(
-        scenario="capacity-scaling",
-        params={"ks": ks},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    return _finish("capacity-scaling", {"ks": ks}, columns, rows, verdicts, frames, outdir)
 
 
 def run_pseudoconvex(sizes: Sequence[Tuple[int, int]], grid: int = 8, outdir=None) -> ScenarioReport:
@@ -276,11 +271,15 @@ def run_pseudoconvex(sizes: Sequence[Tuple[int, int]], grid: int = 8, outdir=Non
     The excess at C = 1 is exactly 0 (attained by the box itself) and any
     smaller constant gives a positive excess.
     """
+    try:
+        sizes = sorted(set((int(w), int(h)) for w, h in sizes))
+    except (TypeError, ValueError):
+        raise ValueError("sizes must be (width, height) pairs") from None
     domain = GridDomain((grid, grid))
     columns = ("width", "height", "excess_at_1", "witness_volume", "excess_at_3_4")
     rows = []
     frames = []
-    for size in sorted(set(tuple(map(int, s)) for s in sizes)):
+    for size in sizes:
         K = _centered_box(domain, size)
         mu = boundary_measure(K, ONE)
         at_one = strong_excess(mu, ONE)
@@ -293,15 +292,8 @@ def run_pseudoconvex(sizes: Sequence[Tuple[int, int]], grid: int = 8, outdir=Non
         "strong IC at C=1": all(r[2] == 0 for r in rows),
         "C=1 optimal (excess > 0 below)": all(r[4] > 0 for r in rows),
     }
-    report = ScenarioReport(
-        scenario="pseudoconvex",
-        params={"sizes": [list(s) for s in sorted(set(tuple(map(int, s)) for s in sizes))], "grid": grid},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"sizes": [list(s) for s in sizes], "grid": grid}
+    return _finish("pseudoconvex", params, columns, rows, verdicts, frames, outdir)
 
 
 def run_interval_clusters(
@@ -313,9 +305,9 @@ def run_interval_clusters(
     the small-volume excess at C = 1 turns positive once ell*w > 1.
     """
     w = Fraction(w)
-    ells = sorted(set(int(e) for e in ells))
-    if not ells or ells[0] < 1 or 2 * ells[-1] > length:
-        raise ValueError("need 1 <= ell and 2*ell <= length")
+    ells = _ints("ells", ells, 1)
+    if 2 * ells[-1] > length:
+        raise ValueError("need 2*ell <= length")
     domain = GridDomain((length,))
     columns = ("ell", "cluster_mass", "excess", "first_positive_volume")
     rows = []
@@ -337,15 +329,8 @@ def run_interval_clusters(
             (r[2] > 0) == (Fraction(r[0]) * w > 1) for r in rows
         ),
     }
-    report = ScenarioReport(
-        scenario="interval-clusters",
-        params={"ells": ells, "length": length, "w": w},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=tuple(frames),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"ells": ells, "length": length, "w": w}
+    return _finish("interval-clusters", params, columns, rows, verdicts, frames, outdir)
 
 
 def run_refinement(scenario: str, factors: Sequence[int], outdir=None) -> ScenarioReport:
@@ -355,9 +340,7 @@ def run_refinement(scenario: str, factors: Sequence[int], outdir=None) -> Scenar
     columns.  Supported: 'tentacle' (violation margin per unit length) and
     'capacity' (cover cost over target mass).
     """
-    factors = sorted(set(int(f) for f in factors))
-    if not factors or factors[0] < 1:
-        raise ValueError("factors must be positive integers")
+    factors = _ints("factors", factors, 1)
     rows = []
     if scenario == "tentacle":
         columns = ("factor", "arm_length", "value", "limit_value", "margin_per_length")
@@ -380,15 +363,8 @@ def run_refinement(scenario: str, factors: Sequence[int], outdir=None) -> Scenar
         verdicts = {"ratio nonincreasing": all(a >= b for a, b in zip(trend, trend[1:]))}
     else:
         raise ValueError(f"refinement does not support scenario {scenario!r}")
-    report = ScenarioReport(
-        scenario=f"refinement-{scenario}",
-        params={"base": scenario, "factors": factors},
-        columns=columns,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        frames=(),
-    )
-    return write_report(report, outdir) if outdir is not None else report
+    params = {"base": scenario, "factors": factors}
+    return _finish(f"refinement-{scenario}", params, columns, rows, verdicts, (), outdir)
 
 
 SCENARIOS = {

@@ -333,17 +333,19 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             )
 
 
+def image_layout(domain: GridDomain):
+    """(width, height, cell) of a 1D or 2D grid drawn as an image, where
+    cell(x, y) is the cell at column x and row y, row 0 at the top."""
+    if domain.d == 1:
+        return domain.dims[0], 1, lambda x, y: (x,)
+    if domain.d == 2:
+        return domain.dims[0], domain.dims[1], lambda x, y: (x, y)
+    raise ValueError("masks and pictures support 1D and 2D grids only")
+
+
 def mask_to_pgm(A: CellSet) -> str:
     """ASCII PGM (P2): set cells 255, others 0; row 0 at the top."""
-    domain = A.domain
-    if domain.d == 1:
-        width, height = domain.dims[0], 1
-        at = lambda x, y: (x,)
-    elif domain.d == 2:
-        width, height = domain.dims
-        at = lambda x, y: (x, y)
-    else:
-        raise ValueError("PGM masks support 1D and 2D grids only")
+    width, height, at = image_layout(A.domain)
     lines = [f"P2", f"{width} {height}", "255"]
     for y in range(height):
         lines.append(" ".join("255" if at(x, y) in A.cells else "0" for x in range(width)))
@@ -355,6 +357,10 @@ def write_mask(path, A: CellSet) -> None:
 
 
 def read_mask(path, domain: GridDomain) -> CellSet:
+    try:
+        width, height, at = image_layout(domain)
+    except ValueError as e:
+        raise ProblemFileError(str(e)) from None
     tokens: List[str] = []
     for line in Path(path).read_text().splitlines():
         body = line.split("#", 1)[0]
@@ -362,25 +368,14 @@ def read_mask(path, domain: GridDomain) -> CellSet:
     if not tokens or tokens[0] != "P2":
         raise ProblemFileError("not an ASCII PGM (P2) file")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        size, maxval = (int(tokens[1]), int(tokens[2])), int(tokens[3])
         values = [int(t) for t in tokens[4:]]
     except (IndexError, ValueError) as e:
         raise ProblemFileError(f"malformed PGM: {e}") from e
-    if len(values) != width * height:
+    if len(values) != size[0] * size[1]:
         raise ProblemFileError("PGM pixel count does not match its header")
-    if domain.d == 1:
-        if (width, height) != (domain.dims[0], 1):
-            raise ProblemFileError("PGM size does not match the grid")
-        cells = [(x,) for x in range(width) if values[x] > maxval // 2]
-    elif domain.d == 2:
-        if (width, height) != domain.dims:
-            raise ProblemFileError("PGM size does not match the grid")
-        cells = [
-            (x, y)
-            for y in range(height)
-            for x in range(width)
-            if values[y * width + x] > maxval // 2
-        ]
-    else:
-        raise ProblemFileError("PGM masks support 1D and 2D grids only")
+    if size != (width, height):
+        raise ProblemFileError("PGM size does not match the grid")
+    pixels = ((x, y) for y in range(height) for x in range(width))
+    cells = [at(x, y) for (x, y), v in zip(pixels, values) if v > maxval // 2]
     return CellSet.of(domain, cells)

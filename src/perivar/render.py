@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fileio import format_rational
+from .fileio import format_rational, image_layout
 from .grid import CellSet, GridDomain
 from .measure import MeasureData, SignedPair
 
@@ -17,14 +17,6 @@ GRID_LINE = "#999999"
 COLOR_PLUS = "#c0392b"
 COLOR_MINUS = "#27ae60"
 COLOR_CELL_MASS = "#8e44ad"
-
-
-def _dims_2d(domain: GridDomain):
-    if domain.d == 1:
-        return domain.dims[0], 1
-    if domain.d == 2:
-        return domain.dims
-    raise ValueError("SVG rendering supports 1D and 2D grids only")
 
 
 def _xy(cell) -> tuple:
@@ -81,7 +73,7 @@ def render_svg(
     measures: Optional[SignedPair] = None,
 ) -> str:
     """Cells as unit squares (set = filled), measure faces as thick segments."""
-    width, height = _dims_2d(domain)
+    width, height, at = image_layout(domain)
     w_px = 2 * PAD + width * CELL_PX
     h_px = 2 * PAD + height * CELL_PX
     out = [
@@ -93,8 +85,7 @@ def render_svg(
     set_cells = mask.cells if mask is not None else frozenset()
     for y in range(height):
         for x in range(width):
-            cell = (x,) if domain.d == 1 else (x, y)
-            fill = FILL_SET if cell in set_cells else FILL_EMPTY
+            fill = FILL_SET if at(x, y) in set_cells else FILL_EMPTY
             out.append(
                 f'<rect x="{PAD + x * CELL_PX}" y="{PAD + y * CELL_PX}" '
                 f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}" '

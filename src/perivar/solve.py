@@ -161,7 +161,7 @@ def solve_volume(
     domain = mu_minus.domain
     v = int(v)
     pair = SignedPair(MeasureData.zero(domain), mu_minus)
-    if region is None or len(region.cells) == domain.cell_count:
+    if region is None:
         mode = FullSpace()
         free_cells = frozenset(domain.cells())
     else:

@@ -14,7 +14,7 @@ from perivar import (
     solve_dirichlet,
     strong_excess,
 )
-from perivar import cli
+from perivar import cli, experiments
 from perivar.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from perivar.fileio import parse_rational, write_mask
 
@@ -245,6 +245,44 @@ def test_experiment_params_take_fractions_words_and_scalar_lists(tmp_path, capsy
     report = json.loads((outdir / "report.json").read_text())
     assert report["params"] == {"base": "tentacle", "factors": [2]}
     assert "margin_per_length nonincreasing: True" in capsys.readouterr().out
+
+
+# a single value for each list parameter; pseudoconvex's (width, height)
+# pairs cannot be written as --param values
+SCALAR_LISTS = {
+    "tentacle": (["w=2"], "lengths", "2", 2),
+    "runaway-slab": (["L=2"], "shifts", "1", 1),
+    "convex-threshold": ([], "thetas", "1/2", "1/2"),
+    "capacity-scaling": ([], "ks", "2", 2),
+    "interval-clusters": (["length=8"], "ells", "2", 2),
+    "refinement": (["scenario=capacity"], "factors", "1", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(experiments.SCENARIOS) - {"pseudoconvex"}))
+def test_every_scenario_takes_one_value_for_a_list(tmp_path, name):
+    fixed, key, raw, recorded = SCALAR_LISTS[name]
+    params = [arg for p in [*fixed, f"{key}={raw}"] for arg in ("--param", p)]
+    outdir = tmp_path / name
+    assert main(["experiment", name, "--out", str(outdir), *params]) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["params"][key] == [recorded]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("pseudoconvex", ["sizes=2"]),  # not (width, height) pairs
+        ("convex-threshold", ["thetas=1/0"]),
+        ("tentacle", ["w=2", "lengths=2.5"]),
+    ],
+)
+def test_unusable_experiment_params_exit_2(tmp_path, capsys, name, params):
+    argv = ["experiment", name, "--out", str(tmp_path / "o")]
+    argv += [arg for p in params for arg in ("--param", p)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_render_command(tmp_path):

@@ -1,10 +1,19 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 import naive
-from conftest import as_raw, counted, rand_cellset, rand_submodular_pair, rand_weight
+from conftest import (
+    as_raw,
+    counted,
+    rand_cellset,
+    rand_domain,
+    rand_submodular_pair,
+    rand_weight,
+)
 from perivar import (
+    BinaryEnergy,
     CellSet,
     Dirichlet,
     EmptyClassError,
@@ -68,6 +77,24 @@ def test_obstacle_with_region_pins_outside_cells():
     result = solve_obstacle(inner, CellSet.full(d), pair, region=omega)
     # outside the region the set equals the inner obstacle: nothing there
     assert result.minimizer.cells <= frozenset(omega.cells) | inner.cells
+
+
+def test_a_region_covering_the_grid_is_the_whole_grid(rng):
+    # Dirichlet data outside a region that covers the grid pins no cell:
+    # the energy is the free one array for array, and both solvers agree
+    for _ in range(40):
+        d = rand_domain(rng)
+        full = d.full_region()
+        pair = rand_submodular_pair(rng, d)
+        free = assemble(pair, FullSpace())
+        pinned = assemble(pair, Dirichlet(a0=rand_cellset(rng, d), omega=full))
+        for field in fields(BinaryEnergy):
+            assert getattr(pinned, field.name) == getattr(free, field.name)
+        inner = rand_cellset(rng, d, p=0.15)
+        outer = inner | rand_cellset(rng, d, p=0.6)
+        assert solve_obstacle(inner, outer, pair, full) == solve_obstacle(inner, outer, pair)
+        v = rng.randint(0, d.cell_count)
+        assert solve_volume(v, pair.minus, full) == solve_volume(v, pair.minus)
 
 
 def test_dirichlet_matches_exhaustive(rng):
