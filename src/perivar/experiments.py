@@ -88,13 +88,16 @@ def _as_list(values) -> list:
     return list(values)
 
 
+def _int(name: str, x) -> int:
+    """One integral value of a parameter, refused when it has a fraction part."""
+    if not isinstance(x, Real) or x != int(x):
+        raise ValueError(f"{name} takes integers, not {x}")
+    return int(x)
+
+
 def _ints(name: str, values, least: int) -> List[int]:
     """Sorted distinct integers of a list parameter, none below ``least``."""
-    ints = set()
-    for x in _as_list(values):
-        if not isinstance(x, Real) or x != int(x):
-            raise ValueError(f"{name} takes integers, not {x}")
-        ints.add(int(x))
+    ints = {_int(name, x) for x in _as_list(values)}
     if not ints or min(ints) < least:
         raise ValueError(f"{name} must be integers >= {least}")
     return sorted(ints)
@@ -214,7 +217,7 @@ def run_convex_threshold(thetas: Sequence, grid: int = 4, outdir=None) -> Scenar
     above it the box wins, and at theta = 1 both are optimal (the canonical
     minimizer is the empty set).
     """
-    thetas = sorted(Fraction(t) for t in _as_list(thetas))
+    thetas = sorted({Fraction(t) for t in _as_list(thetas)})
     domain = GridDomain((grid, grid))
     K = _centered_box(domain, (2, 2))
     columns = ("theta", "minimizer_volume", "value", "value_empty", "value_K")
@@ -272,9 +275,10 @@ def run_pseudoconvex(sizes: Sequence[Tuple[int, int]], grid: int = 8, outdir=Non
     smaller constant gives a positive excess.
     """
     try:
-        sizes = sorted(set((int(w), int(h)) for w, h in sizes))
+        pairs = [(w, h) for w, h in sizes]
     except (TypeError, ValueError):
         raise ValueError("sizes must be (width, height) pairs") from None
+    sizes = sorted({(_int("sizes", w), _int("sizes", h)) for w, h in pairs})
     domain = GridDomain((grid, grid))
     columns = ("width", "height", "excess_at_1", "witness_volume", "excess_at_3_4")
     rows = []

@@ -207,6 +207,12 @@ def strong_excess(
     first cell lying in any maximizer is the first step to attain the
     maximum; the witness, the cells reachable from it in the residual, is
     the inclusion-minimal maximizer holding it, so it holds no earlier cell.
+    Each probe stops once its flow reaches the best so far, exactly: an
+    earlier probe's flow ends at flagged nodes, outside any source side
+    holding c_i and no earlier cell, so however much of it was pushed it
+    nets zero across that cut and moves no later probe's value or minimal
+    cut.  A probe that beats the best never reaches its limit, so its
+    witness is whole; a tie stops no better than the best, so it loses.
     The exhaustive route keeps the oracle's least-rank witness instead; the
     instance fixes the default route, so no answer moves between the two.
     """
@@ -265,7 +271,7 @@ def strong_excess(
     best: Optional[int] = None
     best_witness: Optional[CellSet] = None
     for node in range(2, net.n_nodes):  # sorted cell order
-        delta = augment(net, node, sinks)
+        delta = augment(net, node, sinks, limit=best)
         if best is None or delta < best:
             best = delta
             best_witness = witness(_residual_reachable(net, node))

@@ -29,8 +29,8 @@ greedy pass down the node order and one back up leave a valid flow, most
 of a maximum one on grid energies, which ``augment`` completes.  Every
 ``minimize`` caller and ``ic.strong_excess``'s first flow get it.  No
 answer moves: the value is base plus the total flow, and the
-inclusion-minimal cut, the maximal one and the flows the excess sweep's
-probes add are the same for every maximum flow.
+inclusion-minimal cut, the maximal one and the most each of the excess
+sweep's probes can add are the same for every maximum flow.
 ``ic.divergence_certificate`` builds its own arc list and decodes its
 field from whichever flow it gets, so it takes no warm start.
 """
@@ -120,13 +120,18 @@ _ORPHAN = -2  # parent of a node whose parent arc an augmentation saturated
 _FAR = 1 << 62  # distance of a node that hangs below an orphan
 
 
-def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list] = None) -> int:
+def augment(
+    net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list] = None,
+    *, limit: Optional[int] = None,
+) -> int:
     """Push flow from ``source`` until no residual path reaches a sink node.
 
     ``sinks`` holds one flag per node; a flagged node absorbs any amount of
     flow.  By default flow runs from the network's source to its sink.  Flow
     already in the network stays, so repeated calls resolve incrementally.
-    Returns the flow added.
+    Returns the flow added, or, given a ``limit``, returns once that reaches
+    the limit: a value between the limit and the maximum, with a valid flow
+    left behind (each push runs along a whole path) that a later call ends.
 
     Boykov-Kolmogorov search trees, kept across augmentations: a source
     tree grows from ``source`` over residual arcs until it meets a sink.  A
@@ -258,6 +263,8 @@ def augment(net: FlowNetwork, source: Optional[int] = None, sinks: Optional[list
                     orphans.append(x)
                 x = to[p]
             added += push
+            if limit is not None and added >= limit:
+                return added
 
             # adopt the orphans: an arc a = i -> j can be i's parent arc when
             # the flow direction of i's side, cap[a ^ flip], is residual

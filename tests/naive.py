@@ -3,16 +3,24 @@
 Everything here works on raw tuples (dims, cells, (axis, slot, at) faces)
 and deliberately avoids the package's grid/measure/energy machinery, so
 test comparisons are genuinely two independent routes to the same number.
-Two kinds of exception check an engine on its own input:
+Three kinds of exception check an engine on its own input:
 ``dinic_augment`` and ``cut_capacity`` run on a ``FlowNetwork``'s arc
-arrays, and ``energy_gray_walk`` and ``greedy_resize`` walk a compiled
-``BinaryEnergy`` one step at a time.
+arrays, ``energy_gray_walk`` and ``greedy_resize`` walk a compiled
+``BinaryEnergy`` one step at a time, and ``unbounded_excess_sweep`` runs
+the excess sweep's probes to the end on the package's own cut network.
 """
 
 import itertools
 from fractions import Fraction
 
 from perivar.energy import flip_links
+from perivar.maxflow import (
+    _cut_network,
+    _maximal_source_side,
+    _residual_reachable,
+    augment,
+    max_flow,
+)
 
 ZERO = Fraction(0)
 
@@ -469,6 +477,33 @@ def dinic_augment(net, source=None, sinks=None):
                 u = to[path.pop() ^ 1]
             else:
                 break
+
+
+def unbounded_excess_sweep(energy):
+    """Best nonempty excess of a submodular excess energy, by unbounded probes.
+
+    ``strong_excess``'s min-cut route as it ran before its probes were
+    bounded: build ``_cut_network``, run ``max_flow``, and when only the
+    empty set attains the best, push from each free cell in turn to the
+    sink and the cells before it with no limit, then flag it.  The first
+    probe of least flow wins, with the cells reachable from it as its
+    witness.  Returns (value, witness cells), or None when the first flow
+    already answers, so no probe runs.
+    """
+    net, base = _cut_network(energy)
+    least = base + max_flow(net).value
+    if least < 0 or len(_maximal_source_side(net)) > 1:
+        return None
+    free = energy.free_cells
+    sinks = [v == net.sink for v in range(net.n_nodes)]
+    best = witness = None
+    for node in range(2, net.n_nodes):
+        delta = augment(net, node, sinks)
+        if best is None or delta < best:
+            best = delta
+            witness = frozenset(free[v - 2] for v in _residual_reachable(net, node) if v > 1)
+        sinks[node] = True
+    return Fraction(-(least + best), energy.den), witness
 
 
 def cut_capacity(net, source_side, caps):

@@ -63,6 +63,15 @@ def test_convex_threshold_verdicts():
     assert by_theta[F(1)]["value"] == 0
 
 
+def test_convex_threshold_drops_repeated_thetas(tmp_path):
+    report = run_convex_threshold([1, F(1), 2], outdir=tmp_path)
+    assert [row["theta"] for row in report.row_dicts()] == [1, 2]
+    assert report.params["thetas"] == ["1", "2"]
+    names = [frame[0] for frame in report.frames]
+    assert names == ["theta-1-1", "theta-2-1"]
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == [f"{n}.svg" for n in names]
+
+
 def test_capacity_scaling():
     report = run_capacity_scaling([1, 2, 4, 8])
     assert report.verdicts["matches 2k+2"]
@@ -73,6 +82,15 @@ def test_pseudoconvex_boxes():
     report = run_pseudoconvex([(2, 2), (3, 2)])
     assert report.verdicts["strong IC at C=1"]
     assert report.verdicts["C=1 optimal (excess > 0 below)"]
+
+
+def test_pseudoconvex_refuses_non_integer_sizes():
+    with pytest.raises(ValueError, match="sizes takes integers, not 2.5"):
+        run_pseudoconvex([(2.5, 2)])
+    with pytest.raises(ValueError, match="sizes takes integers, not 3/2"):
+        run_pseudoconvex([(2, F(3, 2))])
+    # an integral float is that integer, and repeats collapse
+    assert run_pseudoconvex([(2, 2), (2.0, 2)]).params["sizes"] == [[2, 2]]
 
 
 def test_interval_clusters_threshold():

@@ -38,7 +38,7 @@ from perivar.energy import (
     flip_links,
 )
 from perivar.ic import resolve_cap
-from perivar.maxflow import FlowNetwork, _breakpoints
+from perivar.maxflow import FlowNetwork, _breakpoints, augment
 from perivar.oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded
 
 F = Fraction
@@ -160,13 +160,14 @@ def _first_cell_witness(maximizers):
 def test_sweep_value_and_witness_rule_match_enumeration(rng):
     # instances where every nonempty set loses, so strong_excess sweeps the
     # cells; the witness rule fixes which of several tied maximizers wins
-    seen = dict.fromkeys(("plain", "interior-rep", "relative", "avoid-ball"), 0)
+    kinds = ("plain", "interior-rep", "relative", "avoid-ball", "relative-to-boundary")
+    seen = dict.fromkeys(kinds, 0)
     tied = 0
     for _ in range(2000):
         if min(seen.values()) >= 8:
             break
         kind = rng.choice(sorted(seen))
-        rep, cells, charged = "closure", None, None
+        rep, cells, charged, faces = "closure", None, None, None
         if kind == "avoid-ball":
             d = GridDomain(rng.choice([(3, 3), (5,), (5, 3)]))
             radius = 1 if d.dims == (5, 3) else 0
@@ -185,16 +186,29 @@ def test_sweep_value_and_witness_rule_match_enumeration(rng):
             elif kind == "interior-rep":
                 variant, rep = ICVariant.interior_rep(), "interior"
             else:
-                cells = [c for c in naive.all_cells(d.dims) if rng.random() < 0.7]
-                if not cells:
+                omega = [c for c in naive.all_cells(d.dims) if rng.random() < 0.7]
+                if not omega:
                     continue
-                variant = ICVariant.relative(Region.of(d, cells))
                 charged = [
                     f
                     for f in naive.all_faces(d.dims)
-                    if all(side in cells for side in naive.face_sides(d.dims, f))
+                    if all(side in omega for side in naive.face_sides(d.dims, f))
                 ]
-        mu = rand_measure(rng, d, n_faces=rng.randint(0, 3), n_cells=rng.randint(0, 1))
+                if kind == "relative":
+                    variant, cells = ICVariant.relative(Region.of(d, omega)), omega
+                else:
+                    # every set is tested but only omega's interior faces are
+                    # charged, so mass goes on those or on the grid's boundary,
+                    # where the instance stays min-cut reducible
+                    variant = ICVariant.relative_to_boundary(Region.of(d, omega))
+                    faces = [
+                        face_of(f)
+                        for f in naive.all_faces(d.dims)
+                        if f in charged or None in naive.face_sides(d.dims, f)
+                    ]
+        mu = rand_measure(
+            rng, d, faces=faces, n_faces=rng.randint(0, 3), n_cells=rng.randint(0, 1)
+        )
         C = F(rng.randint(2, 4), 2)
         pen = rng.choice([F(0), F(0), F(1, 2)])
         fw, cw = as_raw(mu)
@@ -210,6 +224,53 @@ def test_sweep_value_and_witness_rule_match_enumeration(rng):
         tied += len(maximizers) > 1
     assert min(seen.values()) >= 8
     assert tied
+
+
+def test_bounded_sweep_matches_the_unbounded_sweep(rng, monkeypatch):
+    # each probe of the sweep stops once its flow reaches the best so far;
+    # value and witness must be those of probes run to the end
+    # (naive.unbounded_excess_sweep), on instances big enough to cut probes
+    # short and, through weight-2C lines, to tie
+    stopped = []
+
+    def bounded(net, source=None, sinks=None, *, limit=None):
+        added = augment(net, source, sinks, limit=limit)
+        if limit is not None and added >= limit:
+            stopped.append(added)
+        return added
+
+    monkeypatch.setattr(ic, "augment", bounded)
+    kinds = ("plain", "interior-rep", "relative", "avoid-ball", "relative-to-boundary")
+    swept = dict.fromkeys(kinds, 0)
+    probes = 0
+    for trial in range(1500):
+        dims = rng.choice([(7,), (12,), (4, 4), (5, 3), (6, 4), (3, 3, 2), (2, 3, 4)])
+        d = GridDomain(dims)
+        kind = kinds[trial % len(kinds)]
+        variant, cells, _, _ = _naive_variant(rng, dims, kind)
+        if not cells:
+            continue
+        C = rng.choice([F(1, 2), F(1), F(3, 2)])
+        pen = rng.choice([F(0), F(0), F(1, 2), F(1), F(3)])
+        mu = rand_measure(rng, d, n_faces=rng.randint(0, 4), n_cells=rng.randint(0, 2), hi=1)
+        if rng.random() < 0.5:
+            axis = rng.randrange(d.d)
+            mu = sum_measures(
+                mu, hyperplane_measure(d, axis, rng.randint(1, dims[axis] - 1), 2 * C)
+            )
+        energy = assemble_excess(mu, C=C, cell_penalty=pen, **ic._excess_terms(mu, C, variant, pen))
+        if not check_submodular(energy).ok:
+            continue
+        want = naive.unbounded_excess_sweep(energy)
+        if want is None:
+            continue  # answered before the sweep
+        res = strong_excess(mu, C, variant, cell_penalty=pen, method="min-cut")
+        assert (res.value, res.witness.cells) == want
+        swept[kind] += 1
+        probes += len(energy.free_cells)
+    assert min(swept.values()) >= 30, swept
+    assert sum(swept.values()) >= 300
+    assert 0 < len(stopped) < probes
 
 
 def test_non_reducible_instances_fall_back_or_raise():

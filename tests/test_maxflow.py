@@ -173,6 +173,57 @@ def test_augment_scratch_state_is_reset_between_calls(rng):
         assert len(tree) == n and not any(tree) and not any(active)
 
 
+def _net_outflow(net, caps):
+    """Net flow out of each node, read off the residual against ``caps``,
+    the capacities as built: arc 2k carries caps[2k] - cap[2k]."""
+    out = [0] * net.n_nodes
+    for a in range(0, len(caps), 2):
+        flow = caps[a] - net.cap[a]
+        out[net.to[a ^ 1]] += flow
+        out[net.to[a]] -= flow
+    return out
+
+
+def test_augment_stops_at_its_limit(rng):
+    # a limit at or above the maximum changes nothing; a lower one ends the
+    # call once the flow added reaches it, leaving a valid flow that a call
+    # without a limit completes to the same maximum
+    stopped = 0
+    for trial in range(120):
+        n = rng.randint(4, 9)
+        arcs = [
+            (u, v, rng.randint(0, 5), rng.choice([0, 0, 2]))
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.4
+        ]
+        if trial % 2:
+            source, sinks, flagged = None, None, {FlowNetwork.sink}
+        else:
+            source = rng.randrange(n)
+            flagged = set(rng.sample([v for v in range(n) if v != source], rng.randint(1, 3)))
+            sinks = [v in flagged for v in range(n)]
+        most = naive.dinic_augment(FlowNetwork(n, arcs), source, sinks)
+        start = FlowNetwork.source if source is None else source
+        for limit in (1, rng.randint(1, most + 1), most, most + 3):
+            net = FlowNetwork(n, arcs)
+            caps = list(net.cap)
+            added = augment(net, source, sinks, limit=limit)
+            if limit >= most:
+                assert added == most
+            else:
+                assert limit <= added <= most
+                stopped += added < most
+            assert min(net.cap, default=0) >= 0
+            out = _net_outflow(net, caps)
+            assert out[start] == added
+            assert not any(out[v] for v in range(n) if v != start and v not in flagged)
+            tree, _, active = net._search[:3]
+            assert not any(tree) and not any(active)
+            assert added + augment(net, source, sinks) == most
+    assert stopped
+
+
 def test_augment_allocates_for_the_nodes_it_touches_only():
     # the scratch arrays are sized once per network: a later call that
     # touches a handful of nodes allocates no per-node array
