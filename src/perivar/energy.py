@@ -2,11 +2,14 @@
 
 ``assemble`` turns a measure pair and an evaluation mode (full space,
 Dirichlet with frozen exterior data, or relative-to-a-subdomain) into a
-``BinaryEnergy``: unary costs per free cell, a 2x2 table per face between
-free cells, a constant, and a frozen assignment, all integers over one
-denominator ``den`` that ``assemble`` fixes up front.  ``evaluate``
-reproduces the functional exactly; ``check_submodular`` reports the
-per-face margins ``2*p - w_plus - w_minus`` that decide min-cut solvability.
+``BinaryEnergy``: a cost ``u`` per free cell in the set, two costs per
+face between free cells (``e01`` when the set cuts it, ``e11`` when it
+holds both cells), a constant, and a frozen assignment, all integers over
+one denominator ``den`` that ``assemble`` fixes up front.  The functional
+prices a face only by whether A cuts it or holds it, so this symmetric
+form is the whole of it.  ``evaluate`` reproduces the functional exactly;
+``check_submodular`` reports the per-face margins ``2*e01 - e11`` that
+decide min-cut solvability (V. Kolmogorov, R. Zabih, *IEEE TPAMI* 26, 2004).
 
 The energy is indexed, not keyed by cells and faces.  Cell c is number
 ``sum(c[a] * stride[a])``, stride[a] the product of the extents after
@@ -113,13 +116,13 @@ class BinaryEnergy:
     """Integer unary + pairwise energy equal to den * the functional, with frozen cells.
 
     Arrays run over cell numbers (``index``).  ``state[i]`` is 0 or 1 for
-    a frozen cell and ``FREE`` for a free one; ``u0[i]`` and ``u1[i]`` are
-    its costs out and in, zero when it is frozen.  Face term k joins the
-    free cells ``lo[k]`` and ``hi[k] = lo[k] + strides[axis[k]]``; its
-    table is ``e00[k] .. e11[k]``, the cost with the lower cell at the
-    first state and the upper at the second, built from the measure
-    weights ``w_plus[k]``, ``w_minus[k]`` and the perimeter weight
-    ``p[k]``.  Every entry is an integer over ``den``.
+    a frozen cell and ``FREE`` for a free one; ``u[i]`` is its cost in the
+    set, zero when it is frozen.  Face term k joins the free cells
+    ``lo[k]`` and ``hi[k] = lo[k] + strides[axis[k]]``; it costs ``e01[k]``
+    when exactly one of them is in and ``e11[k]`` when both are, and
+    ``p[k]`` is its perimeter weight.  So den * E(A) = constant + the sum
+    of u over A + e01 over the faces A cuts + e11 over those it holds.
+    Every entry is an integer over ``den``.
 
     The arrays are lists that nothing changes once the energy is built,
     so energies share them.  (Tuples grown from iterators would pile up
@@ -130,16 +133,11 @@ class BinaryEnergy:
     den: int
     constant: int
     state: list
-    u0: list
-    u1: list
+    u: list
     lo: list
     axis: list
-    e00: list
     e01: list
-    e10: list
     e11: list
-    w_plus: list
-    w_minus: list
     p: list
 
     @functools.cached_property
@@ -171,7 +169,7 @@ class BinaryEnergy:
         return frozenset(compress(self.domain.cells(), map((1).__eq__, self.state)))
 
     def full_set(self, free_members: frozenset) -> CellSet:
-        return CellSet(self.domain, frozenset(free_members) | self.frozen_ones())
+        return CellSet._of_grid(self.domain, frozenset(free_members) | self.frozen_ones())
 
 
 def _scaled(w: Fraction, den: int) -> int:
@@ -179,19 +177,14 @@ def _scaled(w: Fraction, den: int) -> int:
     return w.numerator * (den // w.denominator)
 
 
-def _fold(u0: list, u1: list, i: int, j: int, si: int, sj: int, table) -> int:
-    """Fold a face's table (c00, c01, c10, c11) over cells i and j, in states
-    si and sj and not both free, into the free one's unaries; returns the
-    part that is constant."""
-    if si == FREE:
-        u0[i] += table[sj]
-        u1[i] += table[2 + sj]
-    elif sj == FREE:
-        u0[j] += table[2 * si]
-        u1[j] += table[2 * si + 1]
-    else:
-        return table[2 * si + sj]
-    return 0
+def _fold(u: list, i: int, j: int, si: int, sj: int, e01: int, e11: int) -> int:
+    """Fold a face term over cells i and j, in states si and sj and not both
+    free, into the free one's unary; returns the part that is constant."""
+    if FREE not in (si, sj):
+        return (0, e01, e11)[si + sj]
+    free, other = (i, sj) if si == FREE else (j, si)
+    u[free] += e11 - e01 if other else e01
+    return e01 if other else 0
 
 
 def _compile(domain: GridDomain, state: list, den: int, faces, cells,
@@ -201,28 +194,25 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
     ``perimeter`` charges every face of the cell mask's perimeter: the
     faces touching a free cell (exterior and frozen sides alike), or with
     a mask ``within`` by cell number only those between two of its cells.
-    ``faces`` yields (face, (c00, c01, c10, c11), weight, kind): costs
-    ``c_ij`` with the lower side at state i and the upper at j, the
-    exterior being out, and the weight recorded in w_plus (kind 0) or
-    w_minus (1) when the face joins two free cells.  ``cells`` yields (cell, cost when in).
-    The strays are the faces and cells that touch no free cell.
+    ``faces`` yields (face, e01, e11): the face's cost with one side in
+    and with both in, the exterior being out.  ``cells`` yields (cell,
+    cost when in).  The strays are the faces and cells that touch no free
+    cell.
     """
     dims = domain.dims
     d = len(dims)
     strides = _strides(dims)
-    n = len(state)
-    u0, u1 = [0] * n, [0] * n
+    u = [0] * len(state)
     constant = 0
     lo, ax, stray = [], [], []
     P = perimeter
-    cut = (0, P, P, 0)
     if P:
         for a, (st, m) in enumerate(zip(strides, dims)):
             for i, si in enumerate(state):  # the face above cell i on axis a
                 c = i // st % m
                 if within is None:
                     if c == 0 and si == FREE:
-                        u1[i] += P  # the face below it, on the grid's boundary
+                        u[i] += P  # the face below it, on the grid's boundary
                 elif c == m - 1 or not (within[i] and within[i + st]):
                     continue
                 sj = state[i + st] if c < m - 1 else 0  # the exterior is out
@@ -230,14 +220,13 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
                     lo.append(i)
                     ax.append(a)
                 elif FREE in (si, sj):
-                    _fold(u0, u1, i, i + st, si, sj, cut)
+                    constant += _fold(u, i, i + st, si, sj, P, 0)
     k = len(lo)
-    # lo, axis, e00, e01, e10, e11, w_plus, w_minus, p
-    columns = (lo, ax, [0] * k, [P] * k, [P] * k, [0] * k, [0] * k, [0] * k, [P] * k)
+    e01, e11, p = [P] * k, [0] * k, [P] * k
     term_of = {i * d + a: t for t, (i, a) in enumerate(zip(lo, ax))}
 
     across = [strides[:a] + strides[a + 1:] for a in range(d)]  # number a face's at
-    for face, costs, weight, kind in faces:
+    for face, c01, c11 in faces:
         a, s = face.axis, face.slot
         st = strides[a]
         i = sum(map(mul, face.at, across[a])) + (s - 1) * st  # the lower cell when s > 0
@@ -246,25 +235,24 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
         if si == FREE == sj:
             t = term_of.setdefault(i * d + a, len(lo))
             if t == len(lo):
-                for column, x in zip(columns, (i, a, 0, 0, 0, 0, 0, 0, 0)):
+                for column, x in zip((lo, ax, e01, e11, p), (i, a, 0, 0, 0)):
                     column.append(x)
-            for column, x in zip(columns[2:6], costs):
-                column[t] += x
-            columns[6 + kind][t] += weight
+            e01[t] += c01
+            e11[t] += c11
             continue
         if FREE not in (si, sj):
             stray.append(face)
-        constant += _fold(u0, u1, i, i + st, si, sj, costs)
+        constant += _fold(u, i, i + st, si, sj, c01, c11)
 
     for cell, cost in cells:
         i = sum(map(mul, cell, strides))
         if state[i] == FREE:
-            u1[i] += cost
+            u[i] += cost
         else:
             constant += state[i] * cost
             stray.append(cell)
 
-    return BinaryEnergy(domain, den, constant, state, u0, u1, *columns), stray
+    return BinaryEnergy(domain, den, constant, state, u, lo, ax, e01, e11, p), stray
 
 
 def _mode_state(domain: GridDomain, mode: Mode):
@@ -324,11 +312,10 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
         # a boundary face is never in any A^1: its exterior side keeps
         # every plus cost at 0
         for f, w in pair.plus.face_weights.items():
-            W = _scaled(w, den)
-            yield f, (0, 0, 0, W), W, 0
+            yield f, 0, _scaled(w, den)
         for f, w in pair.minus.face_weights.items():
             W = _scaled(w, den)
-            yield f, (0, -W, -W, -W), W, 1
+            yield f, -W, -W
 
     cells = [(c, _scaled(w, den)) for c, w in pair.plus.cell_weights.items()]
     cells += [(c, -_scaled(w, den)) for c, w in pair.minus.cell_weights.items()]
@@ -360,9 +347,8 @@ def assemble_excess(
     on those between two of its cells.  ``rep`` (CLOSURE or INTERIOR)
     applies to every face of mu.  The energy's ``den`` is the lcm of the
     denominators of C, the penalty and mu's weights.  In the face terms
-    ``p`` is the charge, ``w_minus`` the closure mass and ``w_plus`` minus
-    the interior mass, so the margin 2p - w_plus - w_minus is negative
-    exactly on a two-sided face whose closure mass exceeds twice its charge.
+    ``p`` is the charge, so the margin 2 e01 - e11 is negative exactly on
+    a two-sided face whose closure mass exceeds twice its charge.
     """
     domain = mu.domain
     C, cell_penalty = Fraction(C), Fraction(cell_penalty)
@@ -373,10 +359,7 @@ def assemble_excess(
     def faces():
         for f, w in mu.face_weights.items():
             W = _scaled(w, den)
-            if rep == CLOSURE:
-                yield f, (0, -W, -W, -W), W, 1
-            else:
-                yield f, (0, 0, 0, -W), -W, 0
+            yield f, -W if rep == CLOSURE else 0, -W
 
     pen = _scaled(cell_penalty, den)
     cells = [(c, -_scaled(w, den)) for c, w in mu.cell_weights.items()]
@@ -412,15 +395,13 @@ def flip_links(energy: BinaryEnergy):
     """
     free = energy.free_index
     position = dict(zip(free, range(len(free))))
-    gain = [energy.u1[i] - energy.u0[i] for i in free]
+    gain = [energy.u[i] for i in free]
     links = [[] for _ in free]
-    for i, j, e00, e01, e10, e11 in zip(
-        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
-    ):
+    for i, j, e01, e11 in zip(energy.lo, energy.hi, energy.e01, energy.e11):
         k, m = position[i], position[j]
-        gain[k] += e10 - e00
-        gain[m] += e01 - e00
-        coupling = e00 + e11 - e01 - e10
+        gain[k] += e01
+        gain[m] += e01
+        coupling = e11 - 2 * e01
         if coupling:
             links[k].append((m, coupling))
             links[m].append((k, coupling))
@@ -430,7 +411,7 @@ def flip_links(energy: BinaryEnergy):
 def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
     """Fold additional cells to fixed states (hard constraints, no big-M)."""
     state = list(energy.state)
-    u0, u1 = list(energy.u0), list(energy.u1)
+    u = list(energy.u)
     constant = energy.constant
     for c, v in assignment.items():
         i = energy.index(c)
@@ -438,22 +419,23 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
             raise ValueError(f"cell {c} outside grid {energy.domain.dims}")
         if state[i] != FREE:
             raise ValueError(f"cell {c} is not free in this energy")
-        v = 1 if v else 0
-        constant += (u0, u1)[v][i]
-        state[i] = v
-        u0[i] = u1[i] = 0
+        if v:
+            constant += u[i]
+        state[i] = 1 if v else 0
+        u[i] = 0
     keep = []
-    e = (energy.e00, energy.e01, energy.e10, energy.e11)
-    for t, i, j in zip(range(len(energy.lo)), energy.lo, energy.hi):
+    for t, i, j, e01, e11 in zip(
+        range(len(energy.lo)), energy.lo, energy.hi, energy.e01, energy.e11
+    ):
         si, sj = state[i], state[j]
         if si == FREE == sj:
             keep.append(t)
         else:
-            constant += _fold(u0, u1, i, j, si, sj, [column[t] for column in e])
-    columns = (energy.lo, energy.axis, *e, energy.w_plus, energy.w_minus, energy.p)
+            constant += _fold(u, i, j, si, sj, e01, e11)
+    columns = (energy.lo, energy.axis, energy.e01, energy.e11, energy.p)
     if len(keep) < len(energy.lo):
         columns = [list(map(column.__getitem__, keep)) for column in columns]
-    return BinaryEnergy(energy.domain, energy.den, constant, state, u0, u1, *columns)
+    return BinaryEnergy(energy.domain, energy.den, constant, state, u, *columns)
 
 
 def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
@@ -475,12 +457,10 @@ def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
         den,
         k * energy.constant + step * state.count(1),
         state,
-        scale(energy.u0),
-        [k * x + step if s == FREE else 0 for x, s in zip(energy.u1, state)],
+        [k * x + step if s == FREE else 0 for x, s in zip(energy.u, state)],
         energy.lo,
         energy.axis,
-        *map(scale, (energy.e00, energy.e01, energy.e10, energy.e11,
-                     energy.w_plus, energy.w_minus, energy.p)),
+        *map(scale, (energy.e01, energy.e11, energy.p)),
     )
 
 
@@ -489,15 +469,12 @@ def _total(energy: BinaryEnergy, cells) -> int:
     inside = bytearray(len(energy.state))
     for i in _numbers(energy.domain, cells):
         inside[i] = 1
-    value = energy.constant + sum(energy.u0)
-    value += sum(compress(energy.u1, inside)) - sum(compress(energy.u0, inside))
-    for i, j, e00, e01, e10, e11 in zip(
-        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
-    ):
+    value = energy.constant + sum(compress(energy.u, inside))
+    for i, j, e01, e11 in zip(energy.lo, energy.hi, energy.e01, energy.e11):
         if inside[i]:
-            value += e11 if inside[j] else e10
-        else:
-            value += e01 if inside[j] else e00
+            value += e11 if inside[j] else e01
+        elif inside[j]:
+            value += e01
     return value
 
 
@@ -513,22 +490,25 @@ def evaluate(energy: BinaryEnergy, A: CellSet) -> Fraction:
 
 
 def check_submodular(energy: BinaryEnergy) -> SubmodularityReport:
-    """Per-face test e01 + e10 >= e00 + e11 (equivalently w+ + w- <= 2p)."""
+    """Per-face test 2 e01 >= e11 (equivalently w+ + w- <= 2p).
+
+    A face's weights follow from its costs: its closure mass is p - e01 and
+    its interior mass e11 - e01 + p (minus the interior mass on an
+    ``assemble_excess`` energy), reported as ``w_minus`` and ``w_plus``.
+    """
     den = energy.den
     violations = []
-    for t, e00, e01, e10, e11 in zip(
-        range(len(energy.lo)), energy.e00, energy.e01, energy.e10, energy.e11
-    ):
-        margin = e01 + e10 - e00 - e11
+    for t, e01, e11, p in zip(range(len(energy.lo)), energy.e01, energy.e11, energy.p):
+        margin = 2 * e01 - e11
         if margin < 0:
             a = energy.axis[t]
             c = energy.domain.cells()[energy.lo[t]]
             violations.append(
                 Violation(
                     face=Face(a, c[a] + 1, c[:a] + c[a + 1:]),
-                    w_plus=Fraction(energy.w_plus[t], den),
-                    w_minus=Fraction(energy.w_minus[t], den),
-                    p=Fraction(energy.p[t], den),
+                    w_plus=Fraction(e11 - e01 + p, den),
+                    w_minus=Fraction(p - e01, den),
+                    p=Fraction(p, den),
                     margin=Fraction(margin, den),
                 )
             )
@@ -540,7 +520,7 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
                  perimeter_weight=Fraction(1)) -> Fraction:
     """The functional computed straight from grid and measure primitives.
 
-    Independent of the assembled tables; used to cross-check ``evaluate``.
+    Independent of the assembled costs; used to cross-check ``evaluate``.
     """
     from .grid import face_crosses
     from .measure import mass_on_closure, mass_on_interior

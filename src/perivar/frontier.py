@@ -99,22 +99,21 @@ def frontier_minimize(
     if cap < 0 or need > 1 << cap or need > _MEMORY:
         raise FrontierBudgetExceeded(n_free, width, cap, need)
 
-    # per rank: the free cell's number, and (bit, table) of its face terms
-    # with earlier cells and the bits of its covering partners, where bit k
-    # of the state before the cell enters is the cell k + 1 ranks back
+    # per rank: the free cell's number, and (bit, e01, e11) of its face
+    # terms with earlier cells and the bits of its covering partners, where
+    # bit k of the state before the cell enters is the cell k + 1 ranks back
     order = sorted(energy.free_index, key=rank.__getitem__)
     back = [([], []) for _ in range(n_free)]
-    tables = list(zip(zip(energy.e00, energy.e01), zip(energy.e10, energy.e11)))
-    for i, j, table in zip(energy.lo, energy.hi, tables):
-        back[rank[j]][0].append((rank[j] - rank[i] - 1, table))
+    for i, j, e01, e11 in zip(energy.lo, energy.hi, energy.e01, energy.e11):
+        back[rank[j]][0].append((rank[j] - rank[i] - 1, e01, e11))
     for p, q in pairs:
         back[q][1].append(q - p - 1)
 
     # every partial sum of terms lies in [-bound, bound]; a value carrying
     # at least one INF (a forbidden step, a volume out of reach) stays above
     # INF - 2 bound > bound
-    bound = sum(map(max, map(abs, energy.u0), map(abs, energy.u1)))
-    bound += sum(max(map(abs, e0 + e1)) for e0, e1 in tables)
+    bound = sum(map(abs, energy.u))
+    bound += sum(map(max, map(abs, energy.e01), map(abs, energy.e11)))
     INF = 3 * bound + 1
 
     # The value of state s at volume u is rows[u - vlo][s] + off[s]: the
@@ -131,7 +130,7 @@ def frontier_minimize(
     choices = []
     none_kept = bytes(top)
     for p, i in enumerate(order):
-        step = _step_costs((energy.u0[i], energy.u1[i]), *back[p], full, INF)
+        step = _step_costs(energy.u[i], *back[p], full, INF)
         nlo = max(0, tracked + p + 1 - n_free)
         nhi = min(tracked, p + 1)
         new_off = [0] * full
@@ -186,19 +185,19 @@ def frontier_minimize(
 def _step_costs(unary, terms, covers, full, INF):
     """(costs out, costs in) of the entering cell, per state before it."""
     mask = 0
-    for bit, _ in terms:
+    for bit, _, _ in terms:
         mask |= 1 << bit
     for bit in covers:
         mask |= 1 << bit
     by_key = {}
     key = mask
     while True:  # every subset of the mask
-        out, inn = unary
-        for bit, ((e00, e01), (e10, e11)) in terms:
+        out, inn = 0, unary
+        for bit, e01, e11 in terms:
             if key >> bit & 1:
-                out, inn = out + e10, inn + e11
+                out, inn = out + e01, inn + e11
             else:
-                out, inn = out + e00, inn + e01
+                inn += e01
         if not all(key >> bit & 1 for bit in covers):
             out = INF
         by_key[key] = (out, inn)

@@ -223,18 +223,26 @@ class CellSet:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(self.cells))
-        full = self.domain.full_region().cells
-        if not self.cells <= full:
-            bad = min(self.cells - full)
-            raise OutOfBoundsError(f"cell {bad} outside domain {self.domain.dims}")
+        bad = [c for c in self.cells if not self.domain.contains_cell(c)]
+        if bad:
+            raise OutOfBoundsError(f"cell {min(bad)} outside domain {self.domain.dims}")
+
+    @classmethod
+    def _of_grid(cls, domain: GridDomain, cells: Iterable) -> "CellSet":
+        """A set of cells already known to lie on ``domain``, the grid's own
+        tuples; nothing is checked again."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "domain", domain)
+        object.__setattr__(A, "cells", frozenset(cells))
+        return A
 
     @staticmethod
     def empty(domain: GridDomain) -> "CellSet":
-        return CellSet(domain, frozenset())
+        return CellSet._of_grid(domain, ())
 
     @staticmethod
     def full(domain: GridDomain) -> "CellSet":
-        return CellSet(domain, frozenset(domain.cells()))
+        return CellSet._of_grid(domain, domain.cells())
 
     @staticmethod
     def of(domain: GridDomain, cells: Iterable) -> "CellSet":
@@ -249,7 +257,7 @@ class CellSet:
             span = range(max(lo[a], 0), min(hi[a], m - 1) + 1)
             numbers = [n * m + x for n in numbers for x in span]
         cells = domain.cells()
-        return CellSet(domain, frozenset(map(cells.__getitem__, numbers)))
+        return CellSet._of_grid(domain, map(cells.__getitem__, numbers))
 
     @property
     def volume(self) -> int:
@@ -260,19 +268,19 @@ class CellSet:
 
     def __or__(self, other: "CellSet") -> "CellSet":
         _check_same_domain(self, other)
-        return CellSet(self.domain, self.cells | other.cells)
+        return CellSet._of_grid(self.domain, self.cells | other.cells)
 
     def __and__(self, other: "CellSet") -> "CellSet":
         _check_same_domain(self, other)
-        return CellSet(self.domain, self.cells & other.cells)
+        return CellSet._of_grid(self.domain, self.cells & other.cells)
 
     def __sub__(self, other: "CellSet") -> "CellSet":
         _check_same_domain(self, other)
-        return CellSet(self.domain, self.cells - other.cells)
+        return CellSet._of_grid(self.domain, self.cells - other.cells)
 
     def complement(self) -> "CellSet":
         """Within-grid complement (the exterior stays empty either way)."""
-        return CellSet(self.domain, frozenset(self.domain.cells()) - self.cells)
+        return CellSet._of_grid(self.domain, frozenset(self.domain.cells()) - self.cells)
 
     def issubset(self, other: "CellSet") -> bool:
         _check_same_domain(self, other)
@@ -340,7 +348,7 @@ class Region:
         return Region(domain, frozenset(tuple(c) for c in cells))
 
     def cell_set(self) -> CellSet:
-        return CellSet(self.domain, self.cells)
+        return CellSet._of_grid(self.domain, self.cells)
 
     # cached on the instance, so a dropped region takes its face sets along
     @functools.cached_property

@@ -60,8 +60,9 @@ def resolve_cap(
 ) -> int:
     """Exhaustive-cap precedence: explicit flag > environment > file > default.
 
-    A cap is a nonnegative integer; anything else raises ``ValueError``
-    naming its source (``explicit_name`` for the explicit value).
+    A cap is a nonnegative integer, not a bool; anything else raises
+    ``ValueError`` naming its source (``explicit_name`` for the explicit
+    value).
     """
     sources = (
         (explicit_name, explicit),
@@ -74,7 +75,7 @@ def resolve_cap(
                 cap = int(raw) if isinstance(raw, str) else operator.index(raw)
             except (TypeError, ValueError):
                 cap = -1
-            if cap < 0:
+            if cap < 0 or isinstance(raw, bool):
                 raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
             return cap
     return DEFAULT_EXHAUSTIVE_CAP
@@ -253,7 +254,7 @@ def strong_excess(
     free = energy.free_cells  # free cell k is node k + 2
 
     def witness(nodes) -> CellSet:
-        return CellSet.of(domain, [free[v - 2] for v in nodes if v > 1])
+        return CellSet._of_grid(domain, [free[v - 2] for v in nodes if v > 1])
 
     # least = den * the least energy = -den * the best excess, empty set
     # included (it scores 0)
@@ -313,7 +314,7 @@ def _best_single_cell(energy) -> Tuple[CellSet, Fraction]:
     k = gain.index(min(gain))
     cell = energy.domain.cells()[energy.free_index[k]]
     excess = Fraction(-energy.constant - gain[k], energy.den)
-    return CellSet(energy.domain, frozenset((cell,))), excess
+    return CellSet._of_grid(energy.domain, (cell,)), excess
 
 
 def small_volume_profile(
@@ -525,7 +526,7 @@ def divergence_certificate(mu: MeasureData, C):
         # min-cut source side refutes routing; for weights <= 2C the deficit
         # is exactly the maximal excess mu(A+) - C P(A) of that set
         return Infeasible(
-            witness=CellSet.of(domain, [cells[v - 2] for v in result.source_side if v > 1]),
+            witness=CellSet._of_grid(domain, [cells[v - 2] for v in result.source_side if v > 1]),
             excess=None if heavy else Fraction(total - result.value, den),
             overloaded_faces=tuple(heavy),
         )

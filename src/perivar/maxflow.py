@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, sub
+from operator import eq
 from typing import List, Optional, Sequence, Tuple
 
 from .energy import (
@@ -375,19 +375,16 @@ def _cut_network(energy: BinaryEnergy):
     for v, i in enumerate(free, 2):
         node[i] = v
 
-    # theta = e00 + (e10-e00) x_lo + (e11-e10) x_hi + (e01+e10-e00-e11) (1-x_lo) x_hi:
-    # gain is the net cost of labeling a cell 1; base collects the terms free
-    # of labels, then each negative gain, which its source arc pays back
-    u0, u1 = energy.u0, energy.u1
-    base = energy.constant + sum(u0) + sum(energy.e00)
-    gain = list(map(sub, u1, u0))
+    # theta = e01 x_lo + (e11-e01) x_hi + (2 e01 - e11) (1-x_lo) x_hi:
+    # gain is the net cost of labeling a cell 1; base collects the constant,
+    # then each negative gain, which its source arc pays back
+    base = energy.constant
+    gain = list(energy.u)
     pairs = []
-    for i, j, e00, e01, e10, e11 in zip(
-        energy.lo, energy.hi, energy.e00, energy.e01, energy.e10, energy.e11
-    ):
-        gain[i] += e10 - e00
-        gain[j] += e11 - e10
-        coeff = e01 + e10 - e00 - e11
+    for i, j, e01, e11 in zip(energy.lo, energy.hi, energy.e01, energy.e11):
+        gain[i] += e01
+        gain[j] += e11 - e01
+        coeff = 2 * e01 - e11
         if coeff:
             pairs.append((node[j], node[i], coeff, 0))
 

@@ -172,7 +172,7 @@ def _scan(energy: BinaryEnergy) -> ScanResult:
     best = max(range(1, n + 1), key=lambda v: (vol_value[v], -vol_bits[v]))
 
     def to_set(b: int) -> CellSet:
-        return CellSet.of(energy.domain, [free[k] for i, k in enumerate(order) if b >> i & 1])
+        return CellSet._of_grid(energy.domain, [free[k] for i, k in enumerate(order) if b >> i & 1])
 
     per_volume = (None,) + tuple(
         (Fraction(vol_value[v], energy.den), to_set(vol_bits[v])) for v in range(1, n + 1)

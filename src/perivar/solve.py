@@ -194,9 +194,8 @@ def solve_volume(
         return result
 
     # Lagrangian sweep: lam large enough that the extremes are empty/full
-    swing = energy.den + sum(abs(e1 - e0) for e0, e1 in zip(energy.u0, energy.u1))
-    for table in zip(energy.e00, energy.e01, energy.e10, energy.e11):
-        swing += 2 * max(map(abs, table))
+    swing = energy.den + sum(map(abs, energy.u))
+    swing += 2 * sum(map(max, map(abs, energy.e01), map(abs, energy.e11)))
     swing = Fraction(swing, energy.den)
     pieces = parametric_sweep(energy, -swing, swing)
     if pieces[0].volume < len(free_cells) or pieces[-1].volume > 0:

@@ -25,6 +25,7 @@ from perivar import (
     freeze,
     hyperplane_measure,
 )
+from perivar.energy import CLOSURE, INTERIOR, assemble_excess
 
 F = Fraction
 
@@ -240,3 +241,77 @@ def test_submodularity_report():
         assert got == want and report.ok is not want
         assert {f.axis for f, *_ in want} == {0, 1, 2}
         assert all(type(x) is Fraction for v in got for x in v[1:])
+
+
+def test_submodularity_report_derives_the_weights_of_every_energy():
+    # the report reads each face's weights off its two costs: on excess
+    # energies, within a region, after freeze and after a volume term with a
+    # new denominator they must still be the per-face definitions
+    d = GridDomain((3, 4))
+    inner = sorted(f for f in d.faces() if not d.is_boundary_face(f))
+    masses = [F(0), F(1, 2), F(3), F(7, 3), F(5)]
+    mu = MeasureData(d, face_weights={f: masses[k % 5] for k, f in enumerate(inner)})
+    nu = MeasureData(d, face_weights={f: masses[k % 3] for k, f in enumerate(inner)})
+    admissible = [c for c in d.cells() if c != (2, 3)]
+    left = Region.of(d, [c for c in d.cells() if c[1] < 2])
+    pins = {(0, 0): True, (1, 2): False}
+    unpinned = [c for c in admissible if c not in pins]
+
+    def report(energy):
+        r = check_submodular(energy)
+        rows = [(v.face, v.w_plus, v.w_minus, v.p, v.margin) for v in r.violations]
+        assert r.ok is not rows
+        assert all(type(x) is Fraction for row in rows for x in row[1:])
+        return rows
+
+    def want(weights, free, within=None):
+        # weights(face) = (w_plus, w_minus, charge); a face outside the
+        # region ``within`` is not charged
+        rows = []
+        for f in inner:
+            lo, hi = d.face_cells(f)
+            if lo in free and hi in free:
+                w_plus, w_minus, p = weights(f)
+                if within is not None and not {lo, hi} <= within.cells:
+                    p = F(0)
+                if 2 * p - w_plus - w_minus < 0:
+                    rows.append((f, w_plus, w_minus, p, 2 * p - w_plus - w_minus))
+        return rows
+
+    def excess(C, rep):
+        # w_minus is the closure mass, w_plus minus the interior mass
+        def weights(f):
+            W = mu.face_weight(f)
+            return (F(0), W, C) if rep == CLOSURE else (-W, F(0), C)
+        return weights
+
+    closure = want(excess(F(1), CLOSURE), admissible)
+    assert closure and report(assemble_excess(mu, admissible, 1)) == closure
+    # an interior representative fails only under a negative charge
+    assert report(assemble_excess(mu, admissible, 1, rep=INTERIOR)) == []
+    interior = want(excess(F(-1), INTERIOR), admissible)
+    assert any(w_plus for _, w_plus, *_ in interior)
+    assert report(assemble_excess(mu, admissible, -1, rep=INTERIOR)) == interior
+    # outside the region a two-sided mass face is uncharged
+    energy = assemble_excess(mu, admissible, 1, within=left)
+    regional = want(excess(F(1), CLOSURE), admissible, left)
+    assert any(p == 0 for *_, p, _ in regional)
+    assert report(energy) == regional
+    # freezing drops the faces it touches; a volume term keeps the rest
+    frozen = freeze(energy, pins)
+    kept = want(excess(F(1), CLOSURE), unpinned, left)
+    assert len(kept) < len(regional) and report(frozen) == kept
+    shifted = add_volume_term(frozen, F(2, 7))
+    assert shifted.den == 7 * frozen.den and report(shifted) == kept
+
+    # the same on the functional's own energy, plus and minus mass together
+    def weights(f):
+        return mu.face_weight(f), nu.face_weight(f), F(1)
+
+    energy = assemble(SignedPair(mu, nu), FullSpace())
+    assert report(energy) == want(weights, d.cells())
+    kept = want(weights, [c for c in d.cells() if c not in pins])
+    frozen = freeze(energy, pins)
+    assert kept and report(frozen) == kept
+    shifted = add_volume_term(frozen, F(2, 7))
+    assert shifted.den == 7 * frozen.den and report(shifted) == kept

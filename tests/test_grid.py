@@ -213,6 +213,22 @@ def test_cellset_checks_its_cells_in_one_subset_test(monkeypatch):
     assert CellSet.full(d).volume == 4
 
 
+def test_a_small_cell_set_on_a_fresh_grid_builds_no_grid():
+    # a set checks only its own cells: three cells on a 64^3 grid whose
+    # cell list was never built keep well under a megabyte
+    d = GridDomain((64, 64, 64))
+    tracemalloc.start()
+    try:
+        A = CellSet.of(d, [(0, 0, 0), (63, 63, 63), (5, 9, 17)])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.volume == 3 and (5, 9, 17) in A
+    assert kept < 1 << 20, kept
+    with pytest.raises(OutOfBoundsError, match=r"cell \(0, 64, 0\) outside"):
+        CellSet.of(d, [(64, 0, 0), (0, 0, 0), (0, 64, 0)])
+
+
 def test_box_matches_its_definition(rng):
     # the block, clipped to the grid, of cells between the corners; corners
     # may lie off the grid or cross (an empty block)

@@ -54,7 +54,7 @@ def test_resolve_cap_precedence(monkeypatch):
     assert resolve_cap(explicit=5, file_option=7) == 5
     assert resolve_cap(explicit=0) == 0  # no enumeration at all
     # a negative or non-integer cap names its source
-    for bad in (-3, 2.5, "abc"):
+    for bad in (-3, 2.5, "abc", True, False):
         with pytest.raises(ValueError, match="exhaustive_cap must be a nonnegative integer"):
             resolve_cap(explicit=bad)
     with pytest.raises(ValueError, match="--cap must be"):

@@ -556,7 +556,7 @@ def test_parametric_sweep_nested_and_exact(rng, monkeypatch):
     solved = []
     real = maxflow.minimize
     monkeypatch.setattr(
-        maxflow, "minimize", lambda e: solved.append(F(e.u1[0], e.den)) or real(e)
+        maxflow, "minimize", lambda e: solved.append(F(e.u[0], e.den)) or real(e)
     )
     interior = 0
     for _ in range(10):
