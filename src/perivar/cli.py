@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input/validation error, 3 solver error
+Exit codes: 0 success, 2 input/validation error (a path that cannot be
+read or written included), 3 solver error
 (non-submodular energy — report serialized to stderr — an instance too
 large for exhaustive search, a solve that ran out of memory, or an
 internal failure: a recursion limit or a self-check of the library that
@@ -17,15 +18,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import experiments
-from .energy import (
-    FullSpace,
-    MeasureSupportError,
-    assemble,
-    evaluate,
-)
+from .energy import FullSpace, assemble, evaluate
 from .fileio import (
     ProblemFile,
-    ProblemFileError,
     _parse_cellset,
     dumps_json,
     format_rational,
@@ -51,7 +46,7 @@ from .maxflow import NonSubmodularError
 from .measure import mass_on_closure, mass_on_interior
 from .oracle import ExhaustiveCapacityExceeded
 from .render import write_svg
-from .solve import EmptyClassError, solve_dirichlet, solve_obstacle, solve_volume
+from .solve import solve_dirichlet, solve_obstacle, solve_volume
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -369,14 +364,7 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_SOLVER
-    except (
-        CliInputError,
-        ProblemFileError,
-        EmptyClassError,
-        MeasureSupportError,
-        ValueError,
-        FileNotFoundError,
-    ) as e:
+    except (CliInputError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
 

@@ -91,9 +91,6 @@ class MeasureSupportError(ValueError):
 @dataclass(frozen=True)
 class Violation:
     face: Face
-    w_plus: Fraction
-    w_minus: Fraction
-    p: Fraction
     margin: Fraction
 
 
@@ -104,6 +101,14 @@ class SubmodularityReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _common_den(*weights) -> int:
+    """The lcm of the weights' denominators: the least den that makes
+    every weight times den an integer.  (The lcm runs over the distinct
+    denominators: a tuple grown from an iterator would land in CPython's
+    free lists of small tuples.)"""
+    return math.lcm(*{w.denominator for w in weights})
 
 
 def _strides(dims: tuple) -> tuple:
@@ -119,9 +124,9 @@ class BinaryEnergy:
     a frozen cell and ``FREE`` for a free one; ``u[i]`` is its cost in the
     set, zero when it is frozen.  Face term k joins the free cells
     ``lo[k]`` and ``hi[k] = lo[k] + strides[axis[k]]``; it costs ``e01[k]``
-    when exactly one of them is in and ``e11[k]`` when both are, and
-    ``p[k]`` is its perimeter weight.  So den * E(A) = constant + the sum
-    of u over A + e01 over the faces A cuts + e11 over those it holds.
+    when exactly one of them is in and ``e11[k]`` when both are.  So
+    den * E(A) = constant + the sum of u over A + e01 over the faces A
+    cuts + e11 over those it holds.
     Every entry is an integer over ``den``.
 
     The arrays are lists that nothing changes once the energy is built,
@@ -138,7 +143,6 @@ class BinaryEnergy:
     axis: list
     e01: list
     e11: list
-    p: list
 
     @functools.cached_property
     def strides(self) -> tuple:
@@ -222,7 +226,7 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
                 elif FREE in (si, sj):
                     constant += _fold(u, i, i + st, si, sj, P, 0)
     k = len(lo)
-    e01, e11, p = [P] * k, [0] * k, [P] * k
+    e01, e11 = [P] * k, [0] * k
     term_of = {i * d + a: t for t, (i, a) in enumerate(zip(lo, ax))}
 
     across = [strides[:a] + strides[a + 1:] for a in range(d)]  # number a face's at
@@ -235,7 +239,7 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
         if si == FREE == sj:
             t = term_of.setdefault(i * d + a, len(lo))
             if t == len(lo):
-                for column, x in zip((lo, ax, e01, e11, p), (i, a, 0, 0, 0)):
+                for column, x in zip((lo, ax, e01, e11), (i, a, 0, 0)):
                     column.append(x)
             e01[t] += c01
             e11[t] += c11
@@ -252,7 +256,7 @@ def _compile(domain: GridDomain, state: list, den: int, faces, cells,
             constant += state[i] * cost
             stray.append(cell)
 
-    return BinaryEnergy(domain, den, constant, state, u, lo, ax, e01, e11, p), stray
+    return BinaryEnergy(domain, den, constant, state, u, lo, ax, e01, e11), stray
 
 
 def _mode_state(domain: GridDomain, mode: Mode):
@@ -303,10 +307,9 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
         raise ValueError("perimeter weight must be nonnegative")
     state, within = _mode_state(domain, mode)
 
-    den = p.denominator
-    for mu in (pair.plus, pair.minus):
-        for weights in (mu.cell_weights, mu.face_weights):
-            den = math.lcm(den, *(w.denominator for w in weights.values()))
+    weights = [w for mu in (pair.plus, pair.minus)
+               for part in (mu.cell_weights, mu.face_weights) for w in part.values()]
+    den = _common_den(p, *weights)
 
     def faces():
         # a boundary face is never in any A^1: its exterior side keeps
@@ -346,15 +349,15 @@ def assemble_excess(
     face touching an admissible cell, or, with a region ``within``, only
     on those between two of its cells.  ``rep`` (CLOSURE or INTERIOR)
     applies to every face of mu.  The energy's ``den`` is the lcm of the
-    denominators of C, the penalty and mu's weights.  In the face terms
-    ``p`` is the charge, so the margin 2 e01 - e11 is negative exactly on
-    a two-sided face whose closure mass exceeds twice its charge.
+    denominators of C, the penalty and mu's weights.  A face term of
+    charge c and mass w costs e01 = c - w and e11 = -w under CLOSURE, and
+    e01 = c and e11 = -w under INTERIOR: its margins 2 e01 - e11 are
+    2c - w and 2c + w.
     """
     domain = mu.domain
     C, cell_penalty = Fraction(C), Fraction(cell_penalty)
     state = [FREE if x else 0 for x in _mask(domain, admissible)]
-    weights = (C, cell_penalty, *mu.face_weights.values(), *mu.cell_weights.values())
-    den = math.lcm(*(w.denominator for w in weights))
+    den = _common_den(C, cell_penalty, *mu.face_weights.values(), *mu.cell_weights.values())
 
     def faces():
         for f, w in mu.face_weights.items():
@@ -432,7 +435,7 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
             keep.append(t)
         else:
             constant += _fold(u, i, j, si, sj, e01, e11)
-    columns = (energy.lo, energy.axis, energy.e01, energy.e11, energy.p)
+    columns = (energy.lo, energy.axis, energy.e01, energy.e11)
     if len(keep) < len(energy.lo):
         columns = [list(map(column.__getitem__, keep)) for column in columns]
     return BinaryEnergy(energy.domain, energy.den, constant, state, u, *columns)
@@ -444,7 +447,7 @@ def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
     The result is over lcm(den, lam's denominator), rescaled if that is new.
     """
     lam = Fraction(lam)
-    den = math.lcm(energy.den, lam.denominator)
+    den = _common_den(lam, Fraction(1, energy.den))
     k = den // energy.den
     step = _scaled(lam, den)
     state = energy.state
@@ -460,7 +463,7 @@ def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
         [k * x + step if s == FREE else 0 for x, s in zip(energy.u, state)],
         energy.lo,
         energy.axis,
-        *map(scale, (energy.e01, energy.e11, energy.p)),
+        *map(scale, (energy.e01, energy.e11)),
     )
 
 
@@ -490,28 +493,20 @@ def evaluate(energy: BinaryEnergy, A: CellSet) -> Fraction:
 
 
 def check_submodular(energy: BinaryEnergy) -> SubmodularityReport:
-    """Per-face test 2 e01 >= e11 (equivalently w+ + w- <= 2p).
+    """Per-face test 2 e01 >= e11, the regularity a min cut needs.
 
-    A face's weights follow from its costs: its closure mass is p - e01 and
-    its interior mass e11 - e01 + p (minus the interior mass on an
-    ``assemble_excess`` energy), reported as ``w_minus`` and ``w_plus``.
+    Reports each face term with a negative margin 2 e01 - e11, over den,
+    in face order.  On ``assemble``'s energy a face of perimeter weight p,
+    plus mass w+ and minus mass w- has margin 2p - w+ - w-.
     """
-    den = energy.den
     violations = []
-    for t, e01, e11, p in zip(range(len(energy.lo)), energy.e01, energy.e11, energy.p):
+    for t, e01, e11 in zip(range(len(energy.lo)), energy.e01, energy.e11):
         margin = 2 * e01 - e11
         if margin < 0:
             a = energy.axis[t]
             c = energy.domain.cells()[energy.lo[t]]
-            violations.append(
-                Violation(
-                    face=Face(a, c[a] + 1, c[:a] + c[a + 1:]),
-                    w_plus=Fraction(e11 - e01 + p, den),
-                    w_minus=Fraction(p - e01, den),
-                    p=Fraction(p, den),
-                    margin=Fraction(margin, den),
-                )
-            )
+            violations.append(Violation(Face(a, c[a] + 1, c[:a] + c[a + 1:]),
+                                        Fraction(margin, energy.den)))
     violations.sort(key=lambda v: v.face)
     return SubmodularityReport(ok=not violations, violations=tuple(violations))
 

@@ -245,7 +245,7 @@ def parse_problem(doc: dict) -> ProblemFile:
 def load_problem(path) -> ProblemFile:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ProblemFileError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ProblemFileError("problem file must be a JSON object")

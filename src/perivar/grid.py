@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,15 +99,7 @@ class GridDomain:
     @functools.cache
     def cells(self) -> tuple:
         """All cells in lexicographic order."""
-
-        def rec(prefix, rest):
-            if not rest:
-                yield tuple(prefix)
-                return
-            for i in range(rest[0]):
-                yield from rec(prefix + [i], rest[1:])
-
-        return tuple(rec([], self.dims))
+        return tuple(itertools.product(*map(range, self.dims)))
 
     @functools.cache
     def faces(self) -> tuple:

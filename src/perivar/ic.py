@@ -23,6 +23,7 @@ from .energy import (
     CLOSURE,
     INTERIOR,
     FullSpace,
+    _common_den,
     _numbers,
     _scaled,
     _strides,
@@ -33,7 +34,7 @@ from .energy import (
     freeze,
 )
 from .frontier import FrontierBudgetExceeded, frontier_minimize
-from .grid import Cell, CellSet, Face, GridDomain, Region, _check_same_domain
+from .grid import CellSet, Face, GridDomain, Region, _check_same_domain
 from .maxflow import (
     FlowNetwork,
     _breakpoints,
@@ -407,23 +408,21 @@ class DivergenceCertificate:
     face's own mass (exterior sides receive the flux carried to the sink);
     a share is at least w/2 - C, and negative where flux from that side
     passes through the face.  At every cell:  div sigma = cell mass + half
-    the mass of each incident face (``residuals`` records the differences;
-    all zero when valid).
+    the mass of each incident face; ``divergence_certificate`` checks this
+    on integers before it builds a certificate, so ``valid`` checks the
+    bound only.
     """
 
     bound: Fraction
     sigma: Dict[Face, Fraction]
     shares: Dict[Face, Tuple[Fraction, Fraction]]
-    residuals: Dict[Cell, Fraction]
 
     def max_abs_sigma(self) -> Fraction:
         return max((abs(s) for s in self.sigma.values()), default=ZERO)
 
     @property
     def valid(self) -> bool:
-        return self.max_abs_sigma() <= self.bound and all(
-            r == 0 for r in self.residuals.values()
-        )
+        return self.max_abs_sigma() <= self.bound
 
 
 @dataclass(frozen=True)
@@ -481,11 +480,7 @@ def divergence_certificate(mu: MeasureData, C):
     if C < 0:
         raise ValueError("C must be nonnegative")
     domain = mu.domain
-    den = 2 * math.lcm(
-        C.denominator,
-        *(w.denominator for w in mu.face_weights.values()),
-        *(w.denominator for w in mu.cell_weights.values()),
-    )
+    den = 2 * _common_den(C, *mu.face_weights.values(), *mu.cell_weights.values())
     Cs = _scaled(C, den)
     face_mass = {f: _scaled(w, den) for f, w in mu.face_weights.items()}
     cells = domain.cells()
@@ -560,7 +555,6 @@ def divergence_certificate(mu: MeasureData, C):
         bound=C,
         sigma=dict(zip(domain.faces(), map(value.__getitem__, fluxes))),
         shares={face: (value[2 * a], value[2 * b]) for face, (a, b) in shared.items()},
-        residuals=dict.fromkeys(cells, ZERO),
     )
 
 

@@ -310,6 +310,37 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        # an --out that is a file, or lies below one
+        (["minimize", "--problem", "{problem}", "--out", "{file}"], "{file}"),
+        (["minimize", "--problem", "{problem}", "--out", "{file}/sub"], "{file}/sub"),
+        # a directory where a file is read or written
+        (["minimize", "--problem", "{dir}", "--out", "{out}"], "{dir}"),
+        (["eval", "--problem", "{problem}", "--set", "{dir}"], "{dir}"),
+        (["render", "--problem", "{problem}", "--out", "{dir}"], "{dir}"),
+        # JSON nested past the interpreter's recursion limit
+        (["minimize", "--problem", "{deep}", "--out", "{out}"], "invalid JSON"),
+    ],
+)
+def test_file_system_and_decode_errors_exit_2(tmp_path, capsys, argv, named):
+    paths = {
+        "problem": write_problem(tmp_path, line_problem(dims=(4, 4), slot=2)),
+        "file": str(tmp_path / "file"),
+        "dir": str(tmp_path / "dir"),
+        "out": str(tmp_path / "out"),
+        "deep": str(tmp_path / "deep.json"),
+    }
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named.format(**paths) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "flags, env, source",
     [
         (["--cap", "-1"], None, "--cap"),

@@ -213,11 +213,8 @@ def test_submodularity_report():
     )
     report = check_submodular(assemble(bad_pair, FullSpace()))
     assert not report.ok
-    assert [v.face for v in report.violations] == [f]
-    assert report.violations[0].margin == -1
-    v = report.violations[0]
-    assert (v.w_plus, v.w_minus, v.p, v.margin) == (F(3, 2), F(3, 2), F(1), F(-1))
-    assert all(type(x) is Fraction for x in (v.w_plus, v.w_minus, v.p, v.margin))
+    assert [(v.face, v.margin) for v in report.violations] == [(f, F(-1))]
+    assert type(report.violations[0].margin) is Fraction
 
     # 3D, violations on every axis: the report equals a per-face recomputation
     d = GridDomain((2, 3, 4))
@@ -233,20 +230,21 @@ def test_submodularity_report():
     for weight in DIFF_WEIGHTS:
         want = []
         for f in sorted(inner):
-            wp, wm = plus.get(f, F(0)), minus.get(f, F(0))
-            if 2 * weight - wp - wm < 0:
-                want.append((f, wp, wm, weight, 2 * weight - wp - wm))
+            margin = 2 * weight - plus.get(f, F(0)) - minus.get(f, F(0))
+            if margin < 0:
+                want.append((f, margin))
         report = check_submodular(assemble(pair, FullSpace(), weight))
-        got = [(v.face, v.w_plus, v.w_minus, v.p, v.margin) for v in report.violations]
+        got = [(v.face, v.margin) for v in report.violations]
         assert got == want and report.ok is not want
-        assert {f.axis for f, *_ in want} == {0, 1, 2}
-        assert all(type(x) is Fraction for v in got for x in v[1:])
+        assert {f.axis for f, _ in want} == {0, 1, 2}
+        assert all(type(margin) is Fraction for _, margin in got)
 
 
 def test_submodularity_report_derives_the_weights_of_every_energy():
-    # the report reads each face's weights off its two costs: on excess
+    # the report's margins are read off each face's two costs: on excess
     # energies, within a region, after freeze and after a volume term with a
-    # new denominator they must still be the per-face definitions
+    # new denominator they must still be 2 * charge - w_plus - w_minus of
+    # the per-face weights
     d = GridDomain((3, 4))
     inner = sorted(f for f in d.faces() if not d.is_boundary_face(f))
     masses = [F(0), F(1, 2), F(3), F(7, 3), F(5)]
@@ -259,9 +257,9 @@ def test_submodularity_report_derives_the_weights_of_every_energy():
 
     def report(energy):
         r = check_submodular(energy)
-        rows = [(v.face, v.w_plus, v.w_minus, v.p, v.margin) for v in r.violations]
+        rows = [(v.face, v.margin) for v in r.violations]
         assert r.ok is not rows
-        assert all(type(x) is Fraction for row in rows for x in row[1:])
+        assert all(type(margin) is Fraction for _, margin in rows)
         return rows
 
     def want(weights, free, within=None):
@@ -275,7 +273,7 @@ def test_submodularity_report_derives_the_weights_of_every_energy():
                 if within is not None and not {lo, hi} <= within.cells:
                     p = F(0)
                 if 2 * p - w_plus - w_minus < 0:
-                    rows.append((f, w_plus, w_minus, p, 2 * p - w_plus - w_minus))
+                    rows.append((f, 2 * p - w_plus - w_minus))
         return rows
 
     def excess(C, rep):
@@ -287,15 +285,16 @@ def test_submodularity_report_derives_the_weights_of_every_energy():
 
     closure = want(excess(F(1), CLOSURE), admissible)
     assert closure and report(assemble_excess(mu, admissible, 1)) == closure
-    # an interior representative fails only under a negative charge
+    # an interior representative fails only under a negative charge, and
+    # its mass moves the margin
     assert report(assemble_excess(mu, admissible, 1, rep=INTERIOR)) == []
     interior = want(excess(F(-1), INTERIOR), admissible)
-    assert any(w_plus for _, w_plus, *_ in interior)
+    assert {margin for _, margin in interior} == {F(-2), F(-3, 2)}
     assert report(assemble_excess(mu, admissible, -1, rep=INTERIOR)) == interior
     # outside the region a two-sided mass face is uncharged
     energy = assemble_excess(mu, admissible, 1, within=left)
     regional = want(excess(F(1), CLOSURE), admissible, left)
-    assert any(p == 0 for *_, p, _ in regional)
+    assert any(not set(d.face_cells(f)) <= left.cells for f, _ in regional)
     assert report(energy) == regional
     # freezing drops the faces it touches; a volume term keeps the rest
     frozen = freeze(energy, pins)

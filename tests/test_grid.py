@@ -194,9 +194,10 @@ def test_region_face_sets_are_freed_with_the_region():
     assert ref() is None
 
 
-def test_cellset_checks_its_cells_in_one_subset_test(monkeypatch):
+def test_cellset_checks_each_given_cell_and_the_grids_own_none(monkeypatch):
     # the error names the least stray cell, wrong lengths included; a valid
-    # set is checked against the grid's cached full region, cell by cell never
+    # set given by the caller is checked cell by cell, while a set built
+    # from the grid's own cells, such as the full set, is not checked again
     d = GridDomain((2, 2))
     with pytest.raises(OutOfBoundsError, match=r"cell \(2, 0\) outside domain \(2, 2\)"):
         CellSet.of(d, [(3, 1), (0, 0), (2, 0), (2, 5)])
@@ -204,7 +205,17 @@ def test_cellset_checks_its_cells_in_one_subset_test(monkeypatch):
         CellSet.of(d, [(0, 0), (0, 0, 0), (2, 0)])
     with pytest.raises(OutOfBoundsError):
         Region.of(d, [(2, 0)])
-    d.full_region()
+
+    checked = []
+    contains_cell = GridDomain.contains_cell
+
+    def count(self, cell):
+        checked.append(cell)
+        return contains_cell(self, cell)
+
+    monkeypatch.setattr(GridDomain, "contains_cell", count)
+    assert CellSet.of(d, [(1, 0), (0, 1), (1, 0)]).volume == 2
+    assert sorted(checked) == [(0, 1), (1, 0)]
 
     def refuse(self, cell):
         raise AssertionError("per-cell check")
