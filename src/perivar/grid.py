@@ -48,6 +48,17 @@ class OutOfBoundsError(ValueError):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: what ``operator.index`` accepts, never a bool;
+    anything else raises ``ValueError`` naming ``name`` and the value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_same_domain(*objs) -> None:
     domains = {o.domain for o in objs}
     if len(domains) > 1:
@@ -67,7 +78,7 @@ class GridDomain:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(_integer(n, "a cell extent") for n in self.dims)
         object.__setattr__(self, "dims", dims)
         if not 1 <= len(dims) <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, got {len(dims)}")
@@ -140,19 +151,32 @@ class GridDomain:
         return table[lo:lo + per_slot]
 
     def contains_cell(self, cell: Cell) -> bool:
-        return len(cell) == self.d and all(
-            0 <= c < m for c, m in zip(cell, self.dims)
-        )
+        """Whether the cell lies on the grid; a coordinate that is not an
+        integer raises ``ValueError``."""
+        inside = len(cell) == self.d
+        for c, m in zip(cell, self.dims):
+            if type(c) is not int:
+                _integer(c, f"each coordinate of cell {cell}")
+            if not 0 <= c < m:
+                inside = False
+        return inside
 
     def contains_face(self, face: Face) -> bool:
-        if not 0 <= face.axis < self.d:
+        """Whether the face lies on the grid; an axis, slot or coordinate
+        that is not an integer raises ``ValueError``."""
+        axis, slot = face.axis, face.slot
+        if type(axis) is not int or type(slot) is not int:
+            _integer(axis, f"the axis of face {face}")
+            _integer(slot, f"the slot of face {face}")
+        if not (0 <= axis < self.d and 0 <= slot <= self.dims[axis]):
             return False
-        if not 0 <= face.slot <= self.dims[face.axis]:
-            return False
-        trans_dims = [m for b, m in enumerate(self.dims) if b != face.axis]
-        return len(face.at) == self.d - 1 and all(
-            0 <= c < m for c, m in zip(face.at, trans_dims)
-        )
+        inside = len(face.at) == self.d - 1
+        for c, m in zip(face.at, self.dims[:axis] + self.dims[axis + 1:]):
+            if type(c) is not int:
+                _integer(c, f"each coordinate of face {face}")
+            if not 0 <= c < m:
+                inside = False
+        return inside
 
     def face_cells(self, face: Face) -> tuple:
         """Incident cells (1 for grid-boundary faces, else 2), lower first."""

@@ -12,9 +12,7 @@ weight at most 2C), subset enumeration below the cap otherwise.  Only
 from __future__ import annotations
 
 import math
-import operator
 import os
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -34,7 +32,7 @@ from .energy import (
     freeze,
 )
 from .frontier import FrontierBudgetExceeded, frontier_minimize
-from .grid import CellSet, Face, GridDomain, Region, _check_same_domain
+from .grid import CellSet, Face, GridDomain, Region, _check_same_domain, _integer
 from .maxflow import (
     FlowNetwork,
     _breakpoints,
@@ -73,10 +71,10 @@ def resolve_cap(
     for name, raw in sources:
         if raw is not None:
             try:
-                cap = int(raw) if isinstance(raw, str) else operator.index(raw)
-            except (TypeError, ValueError):
+                cap = int(raw) if isinstance(raw, str) else _integer(raw, name)
+            except ValueError:
                 cap = -1
-            if cap < 0 or isinstance(raw, bool):
+            if cap < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
             return cap
     return DEFAULT_EXHAUSTIVE_CAP
@@ -113,10 +111,11 @@ class ICVariant:
             object.__setattr__(self, "radius", None)
         elif self.radius is None:
             raise ValueError("avoid-ball variant requires a radius")
-        elif int(self.radius) < 0:
-            raise ValueError("avoid-ball radius must be nonnegative")
         else:
-            object.__setattr__(self, "radius", int(self.radius))
+            radius = _integer(self.radius, "avoid-ball radius")
+            if radius < 0:
+                raise ValueError("avoid-ball radius must be nonnegative")
+            object.__setattr__(self, "radius", radius)
 
     @staticmethod
     def plain() -> "ICVariant":
@@ -345,7 +344,7 @@ def small_volume_profile(
     admissible = terms["admissible"]
     if v_max is None:
         v_max = len(admissible)
-    v_max = min(int(v_max), len(admissible))
+    v_max = min(_integer(v_max, "v_max"), len(admissible))
     if v_max < 1:
         raise ValueError("v_max must be at least 1")
 
@@ -568,17 +567,20 @@ def capacity(
     """Minimum perimeter of a set whose closure covers the target.
 
     Target faces need at least one incident cell in the set; target cells
-    must be in the set.  Solved exactly by the frontier sweep of the
-    perimeter energy: the target cells and the sole cell of each one-sided
-    target face are frozen in, and each two-sided target face is a
-    covering pair.  When the sweep exceeds the budget of the resolved
-    ``exhaustive_cap`` (``resolve_cap``), it runs once more with every cell
-    outside the bounding box of the targets' cells frozen out, which is
-    exact (see below).  When that sweep too exceeds the budget, branch and
-    bound over the two-sided covering choices, with min-cut relaxations as
-    bounds, solves it instead.  A box sweep within the budget but past the
-    memory raises ``MemoryError`` unless no covering pair is left: then the
-    branch and bound's root, one min cut, is exact.
+    must be in the set.  One perimeter energy serves every route: the
+    target cells and the sole cell of each one-sided target face are
+    frozen in, and every cell outside the bounding box of the targets'
+    cells is frozen out, which is exact (see below).  Each two-sided target
+    face with neither cell frozen in is a covering pair.
+
+    With no covering pair the energy is submodular, and one min cut
+    answers.  Its inclusion-minimal set lies in every least cover, so it
+    is also the set of least sum of 2**rank that the frontier sweep would
+    return.  Otherwise the frontier sweep answers within the budget of the
+    resolved ``exhaustive_cap`` (``resolve_cap``); a sweep that fits the
+    budget but not the memory raises ``MemoryError``.  Past the budget, a
+    branch and bound over the covering pairs answers, each node priced by
+    a min cut of the same energy.
     """
     faces = sorted(set(faces))
     cells = sorted(set(tuple(c) for c in cells))
@@ -599,53 +601,45 @@ def capacity(
             forced_in.add(inc[0])
         else:
             or_faces.append(inc)
-
-    base = assemble(SignedPair.zero(domain), FullSpace())
     pairs = [inc for inc in or_faces if forced_in.isdisjoint(inc)]
-    energy = freeze(base, dict.fromkeys(forced_in, True))
     cap = resolve_cap(exhaustive_cap)
-    with suppress(FrontierBudgetExceeded):
-        sol, val = frontier_minimize(energy, covering=pairs, cap=cap)
-        return val, sol
 
     # Clipping a set to an axis-aligned box that holds every target cell
     # keeps the cover and never adds perimeter: along each line of cells
     # that leaves the box, the one face the clip adds replaces at least one
     # boundary face of the set beyond the box.  So some least cover lies in
-    # the targets' bounding box, and the sweep can freeze the rest out.
+    # the targets' bounding box, and the energy freezes the rest out.
     targets = [*forced_in, *(c for inc in pairs for c in inc)]
     box = CellSet.box(domain, tuple(map(min, zip(*targets))), tuple(map(max, zip(*targets))))
-    outside = {c: False for c in energy.free_cells if c not in box}
+    frozen = {c: False for c in domain.cells() if c not in box.cells}
+    frozen.update(dict.fromkeys(forced_in, True))
+    energy = freeze(assemble(SignedPair.zero(domain), FullSpace()), frozen)
+    if not pairs:
+        sol, val = minimize(energy)
+        return val, sol
     try:
-        sol, val = frontier_minimize(freeze(energy, outside), covering=pairs, cap=cap)
+        sol, val = frontier_minimize(energy, covering=pairs, cap=cap)
     except FrontierBudgetExceeded as refused:
-        if pairs and refused.fits_budget:  # the branch and bound would not end
+        if refused.fits_budget:  # the branch and bound would not end
             raise MemoryError(*refused.args) from None
     else:
         return val, sol
 
     def relax(ins: frozenset, outs: frozenset):
-        frozen = {c: True for c in ins}
-        frozen.update({c: False for c in outs})
-        sol, val = minimize(freeze(base, frozen))
-        return sol, val
+        return minimize(freeze(energy, {**dict.fromkeys(ins, True), **dict.fromkeys(outs, False)}))
 
-    # greedy incumbent: cover every two-sided face from its lower cell
-    greedy_in = frozenset(forced_in | {inc[0] for inc in or_faces})
-    best_sol, best_val = relax(greedy_in, frozenset())
-
-    def covered(sol: CellSet, inc) -> bool:
-        return inc[0] in sol.cells or inc[1] in sol.cells
+    # greedy incumbent: cover every pair from its lower cell
+    best_sol, best_val = relax(frozenset(inc[0] for inc in pairs), frozenset())
 
     # depth first on a stack: the node taking v is pushed before the one
     # taking u, so u's subtree is searched first
-    stack = [(frozenset(forced_in), frozenset())]
+    stack = [(frozenset(), frozenset())]
     while stack:
         ins, outs = stack.pop()
         sol, val = relax(ins, outs)
         if val >= best_val:
             continue
-        open_faces = [inc for inc in or_faces if not covered(sol, inc)]
+        open_faces = [inc for inc in pairs if sol.cells.isdisjoint(inc)]
         if not open_faces:
             best_sol, best_val = sol, val
             continue

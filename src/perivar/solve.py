@@ -29,7 +29,7 @@ from .energy import (
     freeze,
 )
 from .frontier import FrontierBudgetExceeded, frontier_minimize
-from .grid import CellSet, Region, _check_same_domain
+from .grid import CellSet, Region, _check_same_domain, _integer
 from .maxflow import minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
 from .oracle import _scan
@@ -159,7 +159,7 @@ def solve_volume(
     'envelope-bound').
     """
     domain = mu_minus.domain
-    v = int(v)
+    v = _integer(v, "the volume")
     pair = SignedPair(MeasureData.zero(domain), mu_minus)
     if region is None:
         mode = FullSpace()

@@ -7,10 +7,13 @@ import pytest
 from perivar import (
     CellSet,
     Face,
+    FullSpace,
     GridDomain,
     MeasureData,
     SignedPair,
 )
+from perivar.energy import assemble, freeze
+from perivar.frontier import frontier_minimize
 
 
 @pytest.fixture
@@ -130,3 +133,22 @@ def as_raw(measure):
 
 def face_of(raw):
     return Face(axis=raw[0], slot=raw[1], at=tuple(raw[2]))
+
+
+def whole_grid_cover(domain, faces=(), cells=(), cap=22):
+    """``capacity``'s problem swept on the whole grid, with no box.
+
+    The target cells and the sole cell of each one-sided face are frozen
+    in; each two-sided face with neither cell frozen in is a covering
+    pair.  Returns (value, set, pairs).
+    """
+    forced = set(map(tuple, cells))
+    forced.update(c for f in faces for c in domain.face_cells(f) if domain.is_boundary_face(f))
+    pairs = [
+        domain.face_cells(f)
+        for f in faces
+        if not domain.is_boundary_face(f) and forced.isdisjoint(domain.face_cells(f))
+    ]
+    energy = freeze(assemble(SignedPair.zero(domain), FullSpace()), dict.fromkeys(forced, True))
+    sol, value = frontier_minimize(energy, covering=pairs, cap=cap)
+    return value, sol, pairs

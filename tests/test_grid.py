@@ -335,3 +335,32 @@ def test_first_closure_on_a_big_grid_fills_only_its_faces():
     assert len(result) == 18
     assert elapsed < 0.1
     assert peak < 8 * 2**20
+
+
+def test_cell_coordinates_must_be_integers():
+    # a float or bool coordinate is refused by name, not read as a cell
+    # that lies nowhere (a nonempty set of perimeter 0)
+    d = GridDomain((4, 4))
+    for cell in ((1.5, 1), (1, 2.0), (True, 1), (7, 0.5)):
+        with pytest.raises(ValueError, match=r"coordinate of cell .* must be an integer"):
+            d.contains_cell(cell)
+        with pytest.raises(ValueError, match="must be an integer"):
+            perimeter(CellSet.of(d, [cell]))
+        with pytest.raises(ValueError, match="must be an integer"):
+            Region.of(d, [cell])
+    assert d.contains_cell((3, 0)) and not d.contains_cell((4, 0))
+
+
+def test_face_indices_must_be_integers():
+    d = GridDomain((4, 4))
+    for face in (Face(0, 1.5, (1,)), Face(0.0, 1, (1,)), Face(1, 2, (True,))):
+        with pytest.raises(ValueError, match=r"of face .* must be an integer"):
+            d.contains_face(face)
+    assert d.contains_face(Face(0, 4, (3,))) and not d.contains_face(Face(0, 5, (3,)))
+
+
+def test_cell_extents_must_be_integers():
+    for dims in ((2.5, 3), (True, 3), (3, "4")):
+        with pytest.raises(ValueError, match="a cell extent must be an integer"):
+            GridDomain(dims)
+    assert GridDomain((2, 3)).dims == (2, 3)

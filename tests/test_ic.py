@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import naive
-from conftest import as_raw, face_of, rand_measure, rand_weight
+from conftest import as_raw, face_of, rand_measure, rand_weight, whole_grid_cover
 from perivar import (
     CellSet,
     DivergenceCertificate,
@@ -798,9 +798,9 @@ def test_capacity_of_wide_targets_sweeps_their_box(monkeypatch):
 
 
 def test_capacity_of_scattered_targets_past_the_memory(monkeypatch):
-    # two opposite corners of 64x64 at cap 200: the grid and the targets'
-    # box, the same, fit the budget but not the memory; with no covering
-    # pair the branch and bound's min cuts answer
+    # two opposite corners of 64x64 at cap 200: the targets' box is the
+    # whole grid, whose sweep would fit the budget but not the memory; with
+    # no covering pair one min cut answers, and no sweep is tried
     calls = _count_branch_and_bound(monkeypatch)
     val, witness = capacity(GridDomain((64, 64)), cells=[(0, 0), (63, 63)], exhaustive_cap=200)
     assert val == 8 and witness.cells == {(0, 0), (63, 63)}
@@ -808,12 +808,15 @@ def test_capacity_of_scattered_targets_past_the_memory(monkeypatch):
 
 
 def test_capacity_box_route_matches_the_whole_sweep(rng, monkeypatch):
-    # at cap 5 no whole grid below fits one sweep, but a box of one or two
-    # cells does: the box route answers, with no branch and bound
+    # the box route at cap 5 against the whole-grid sweep run directly at
+    # cap 22, which no grid below fits at cap 5: a box of one or two cells
+    # takes one sweep when a covering pair is left and one min cut when
+    # none is, and never a branch-and-bound node
     calls = _count_branch_and_bound(monkeypatch)
     sweeps = []
     real = ic.frontier_minimize
     monkeypatch.setattr(ic, "frontier_minimize", lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    routes = {True: 0, False: 0}
     for dims in ((4, 4), (3, 5), (2, 7), (2, 2, 3)):
         d = GridDomain(dims)
         for _ in range(10):
@@ -826,14 +829,18 @@ def test_capacity_box_route_matches_the_whole_sweep(rng, monkeypatch):
             near = [f for f in d.faces() if set(d.face_cells(f)) <= box]
             cells = rng.sample(sorted(box), rng.randint(0 if near else 1, len(box)))
             faces = rng.sample(near, rng.randint(0 if cells else 1, min(3, len(near))))
-            want, _ = capacity(d, faces=faces, cells=cells, exhaustive_cap=22)
+            want, whole, pairs = whole_grid_cover(d, faces, cells)
             sweeps.clear()
+            calls.clear()
             val, witness = capacity(d, faces=faces, cells=cells, exhaustive_cap=5)
-            assert len(sweeps) == 2  # the whole grid refused, then the box
+            assert (len(sweeps), len(calls)) == ((1, 0) if pairs else (0, 1))
             assert val == want == perimeter(witness)
             assert set(faces) <= closure_faces(witness)
             assert set(cells) <= witness.cells
-    assert not calls
+            if not pairs:  # the min cut's set is the sweep's
+                assert witness == whole
+            routes[bool(pairs)] += 1
+    assert all(routes.values())  # both routes are reached
 
 
 def test_singular_sum_check_parallel_lines():
@@ -918,3 +925,29 @@ def test_assemble_excess_matches_definitions(rng):
         assert check_submodular(energy).ok is not heavy
         blocked[heavy] += 1
     assert min(blocked.values()) >= 5
+
+
+def test_excess_and_capacity_refuse_non_integer_cells():
+    # a float cell or face index is refused by name, not a TypeError later
+    d = GridDomain((4, 4))
+    with pytest.raises(ValueError, match="coordinate of cell .* must be an integer"):
+        strong_excess(MeasureData(d, cell_weights={(1.5, 1): F(1)}), 1)
+    with pytest.raises(ValueError, match="of face .* must be an integer"):
+        strong_excess(MeasureData(d, face_weights={Face(0, 1.5, (1,)): F(1)}), 1)
+    with pytest.raises(ValueError, match="coordinate of cell .* must be an integer"):
+        capacity(d, cells=[(1.5, 1)])
+
+
+def test_profile_budget_must_be_an_integer():
+    mu = hyperplane_measure(GridDomain((4, 4)), 1, 2, F(2))
+    for v_max in (2.5, True):
+        with pytest.raises(ValueError, match="v_max must be an integer"):
+            small_volume_profile(mu, 1, v_max=v_max)
+    assert len(small_volume_profile(mu, 1, v_max=2).entries) == 2
+
+
+def test_avoid_ball_radius_must_be_an_integer():
+    for radius in (2.5, True):
+        with pytest.raises(ValueError, match="avoid-ball radius must be an integer"):
+            ICVariant("avoid-ball", radius=radius)
+    assert ICVariant.avoid_ball(2).radius == 2

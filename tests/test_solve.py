@@ -385,3 +385,16 @@ def test_grid_cut_solvers_build_no_face_objects(monkeypatch):
         d.face_cells(Face(0, 1, (0, 0)))
         assert counts == {"Face": 1, "face_cells": 1, "lower_cell": 1, "upper_cell": 1}
     assert all(r.exact for r in results)
+
+
+def test_volume_and_obstacle_cells_must_be_integers():
+    # a float or bool volume is refused, not truncated; a float cell in an
+    # obstacle is refused by name, not reported as an empty class
+    d = GridDomain((3, 3))
+    mu = hyperplane_measure(d, 1, 1, Fraction(3, 2))
+    for v in (2.7, True):
+        with pytest.raises(ValueError, match="the volume must be an integer"):
+            solve_volume(v, mu)
+    with pytest.raises(ValueError, match="coordinate of cell .* must be an integer"):
+        solve_obstacle(CellSet.of(d, [(1.5, 1)]), CellSet.full(d), SignedPair.zero(d))
+    assert solve_volume(2, mu).minimizer.volume == 2
