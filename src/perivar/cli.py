@@ -38,13 +38,12 @@ from .ic import (
     Infeasible,
     capacity,
     divergence_certificate,
-    resolve_cap,
     small_volume_profile,
     strong_excess,
 )
 from .maxflow import NonSubmodularError
 from .measure import mass_on_closure, mass_on_interior
-from .oracle import ExhaustiveCapacityExceeded
+from .oracle import ExhaustiveCapacityExceeded, resolve_cap
 from .render import write_svg
 from .solve import solve_dirichlet, solve_obstacle, solve_volume
 

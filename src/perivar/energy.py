@@ -46,7 +46,7 @@ from .grid import (
     Region,
     _check_same_domain,
 )
-from .measure import MeasureData, SignedPair
+from .measure import MeasureData, SignedPair, _as_weight
 
 # Representative of a mass face in an excess: CLOSURE counts it when a
 # test set holds at least one incident cell, INTERIOR when it holds both.
@@ -298,13 +298,12 @@ def assemble(pair: SignedPair, mode: Mode, perimeter_weight=Fraction(1)) -> Bina
 
     ``perimeter_weight`` scales the cut term (default 1 per face); it exists
     so scaled instances stay representable without touching the grid model.
-    The energy's ``den`` is the lcm of the denominators of the perimeter
-    weight and of every measure weight.
+    It is a nonnegative int or ``Fraction``, as measure weights are.  The
+    energy's ``den`` is the lcm of the denominators of the perimeter weight
+    and of every measure weight.
     """
     domain = pair.domain
-    p = Fraction(perimeter_weight)
-    if p < 0:
-        raise ValueError("perimeter weight must be nonnegative")
+    p = _as_weight(perimeter_weight, "perimeter_weight")
     state, within = _mode_state(domain, mode)
 
     weights = [w for mu in (pair.plus, pair.minus)
@@ -348,14 +347,17 @@ def assemble_excess(
     frozen out, and the exterior counts as out.  C is charged on every
     face touching an admissible cell, or, with a region ``within``, only
     on those between two of its cells.  ``rep`` (CLOSURE or INTERIOR)
-    applies to every face of mu.  The energy's ``den`` is the lcm of the
+    applies to every face of mu.  C and the penalty are ints or
+    ``Fraction``s; a negative charge compiles too (the entry points that
+    read this energy refuse one).  The energy's ``den`` is the lcm of the
     denominators of C, the penalty and mu's weights.  A face term of
     charge c and mass w costs e01 = c - w and e11 = -w under CLOSURE, and
     e01 = c and e11 = -w under INTERIOR: its margins 2 e01 - e11 are
     2c - w and 2c + w.
     """
     domain = mu.domain
-    C, cell_penalty = Fraction(C), Fraction(cell_penalty)
+    C = _as_weight(C, "C", signed=True)
+    cell_penalty = _as_weight(cell_penalty, "cell_penalty", signed=True)
     state = [FREE if x else 0 for x in _mask(domain, admissible)]
     den = _common_den(C, cell_penalty, *mu.face_weights.values(), *mu.cell_weights.values())
 
@@ -444,9 +446,10 @@ def freeze(energy: BinaryEnergy, assignment: Mapping) -> BinaryEnergy:
 def add_volume_term(energy: BinaryEnergy, lam: Fraction) -> BinaryEnergy:
     """Add the modular term lam * |A| (counting frozen-1 cells in the constant).
 
-    The result is over lcm(den, lam's denominator), rescaled if that is new.
+    lam is an int or a ``Fraction`` of either sign.  The result is over
+    lcm(den, lam's denominator), rescaled if that is new.
     """
-    lam = Fraction(lam)
+    lam = _as_weight(lam, "lam", signed=True)
     den = _common_den(lam, Fraction(1, energy.den))
     k = den // energy.den
     step = _scaled(lam, den)
@@ -516,11 +519,13 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
     """The functional computed straight from grid and measure primitives.
 
     Independent of the assembled costs; used to cross-check ``evaluate``.
+    ``perimeter_weight`` is taken as by ``assemble``.
     """
     from .grid import face_crosses
     from .measure import mass_on_closure, mass_on_interior
 
     domain = pair.domain
+    perimeter_weight = _as_weight(perimeter_weight, "perimeter_weight")
     _mode_state(domain, mode)  # validates the mode
     if isinstance(mode, FullSpace):
         perim_faces = domain.faces()
@@ -529,7 +534,7 @@ def direct_value(pair: SignedPair, mode: Mode, A: CellSet,
     else:
         perim_faces = mode.omega.closure_faces()
     perim = sum(
-        (Fraction(perimeter_weight) for f in perim_faces if face_crosses(domain, f, A)),
+        (perimeter_weight for f in perim_faces if face_crosses(domain, f, A)),
         Fraction(0),
     )
     return perim + mass_on_interior(pair.plus, A) - mass_on_closure(pair.minus, A)

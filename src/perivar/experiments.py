@@ -3,7 +3,9 @@
 Every row's functional value is recomputed through energy evaluation on the
 stored cell set, so the tables are exact and replayable; verdicts are pure
 functions of the rows.  Scenarios only assert finite-grid facts; trend
-columns report, they do not extrapolate.
+columns report, they do not extrapolate.  A rational parameter is an int or
+a ``Fraction`` and an integer one an int; a float or a bool is refused, by
+the parameter's name.
 """
 
 from __future__ import annotations
@@ -11,17 +13,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Real
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from .energy import FullSpace, assemble, evaluate
 from .fileio import write_csv, write_json
-from .grid import CellSet, Face, GridDomain, perimeter
+from .grid import CellSet, Face, GridDomain, _integer, perimeter
 from .ic import capacity, small_volume_profile, strong_excess
 from .measure import (
     MeasureData,
     SignedPair,
+    _as_weight,
     boundary_measure,
     mass_on_closure,
 )
@@ -88,16 +90,9 @@ def _as_list(values) -> list:
     return list(values)
 
 
-def _int(name: str, x) -> int:
-    """One integral value of a parameter, refused when it has a fraction part."""
-    if not isinstance(x, Real) or x != int(x):
-        raise ValueError(f"{name} takes integers, not {x}")
-    return int(x)
-
-
 def _ints(name: str, values, least: int) -> List[int]:
     """Sorted distinct integers of a list parameter, none below ``least``."""
-    ints = {_int(name, x) for x in _as_list(values)}
+    ints = {_integer(x, name) for x in _as_list(values)}
     if not ints or min(ints) < least:
         raise ValueError(f"{name} must be integers >= {least}")
     return sorted(ints)
@@ -119,10 +114,9 @@ def run_tentacle(
     blob alone.  Cancellation holds iff no arm value drops below the limit
     value, which is the w <= 2 regime.
     """
-    w = Fraction(w)
-    if w < 0:
-        raise ValueError("w must be nonnegative")
+    w = _as_weight(w, "w")
     lengths = _ints("lengths", lengths, 1)
+    blob = _integer(blob, "blob")
     k_max = lengths[-1]
     domain = GridDomain((blob + k_max, blob + 1))
     blob_set = CellSet.box(domain, (0, 0), (blob - 1, blob - 1))
@@ -169,7 +163,7 @@ def run_runaway_slab(L: int, shifts: Sequence[int], outdir=None) -> ScenarioRepo
     the empty set at value 0: lower semicontinuity fails under local-only
     convergence as soon as L > 1.
     """
-    L = int(L)
+    L = _integer(L, "L")
     if L < 1:
         raise ValueError("need L >= 1")
     shifts = _ints("shifts", shifts, 0)
@@ -217,7 +211,7 @@ def run_convex_threshold(thetas: Sequence, grid: int = 4, outdir=None) -> Scenar
     above it the box wins, and at theta = 1 both are optimal (the canonical
     minimizer is the empty set).
     """
-    thetas = sorted({Fraction(t) for t in _as_list(thetas)})
+    thetas = sorted({_as_weight(t, "thetas") for t in _as_list(thetas)})
     domain = GridDomain((grid, grid))
     K = _centered_box(domain, (2, 2))
     columns = ("theta", "minimizer_volume", "value", "value_empty", "value_K")
@@ -278,7 +272,7 @@ def run_pseudoconvex(sizes: Sequence[Tuple[int, int]], grid: int = 8, outdir=Non
         pairs = [(w, h) for w, h in sizes]
     except (TypeError, ValueError):
         raise ValueError("sizes must be (width, height) pairs") from None
-    sizes = sorted({(_int("sizes", w), _int("sizes", h)) for w, h in pairs})
+    sizes = sorted({(_integer(w, "sizes"), _integer(h, "sizes")) for w, h in pairs})
     domain = GridDomain((grid, grid))
     columns = ("width", "height", "excess_at_1", "witness_volume", "excess_at_3_4")
     rows = []
@@ -308,8 +302,9 @@ def run_interval_clusters(
     Covering a cluster costs perimeter 2 while collecting mass 2*ell*w, so
     the small-volume excess at C = 1 turns positive once ell*w > 1.
     """
-    w = Fraction(w)
+    w = _as_weight(w, "w")
     ells = _ints("ells", ells, 1)
+    length = _integer(length, "length")
     if 2 * ells[-1] > length:
         raise ValueError("need 2*ell <= length")
     domain = GridDomain((length,))

@@ -48,15 +48,21 @@ class OutOfBoundsError(ValueError):
     pass
 
 
+class NumberTypeError(TypeError, ValueError):
+    """A float, a bool or a string where an exact number belongs: an input error."""
+
+
 def _integer(value, name: str) -> int:
-    """``value`` as an int: what ``operator.index`` accepts, never a bool;
-    anything else raises ``ValueError`` naming ``name`` and the value."""
+    """``value`` as an int: what ``operator.index`` accepts, never a bool
+    (so never a float, a ``Fraction`` or a string).  Every integer that
+    comes from outside the package passes here; anything else raises
+    ``NumberTypeError`` naming ``name`` and the value."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise NumberTypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_same_domain(*objs) -> None:
@@ -267,11 +273,13 @@ class CellSet:
 
     @staticmethod
     def box(domain: GridDomain, lo: Cell, hi: Cell) -> "CellSet":
-        """Axis-aligned block with corner cells lo and hi (inclusive), clipped
-        to the grid; the cells are the grid's own tuples."""
+        """Axis-aligned block with corner cells lo and hi (inclusive, integer
+        coordinates), clipped to the grid; the cells are the grid's own tuples."""
         numbers = [0]  # row-major cell numbers of the block, axis by axis
         for a, m in enumerate(domain.dims):
-            span = range(max(lo[a], 0), min(hi[a], m - 1) + 1)
+            first = _integer(lo[a], "each coordinate of lo")
+            last = _integer(hi[a], "each coordinate of hi")
+            span = range(max(first, 0), min(last, m - 1) + 1)
             numbers = [n * m + x for n in numbers for x in span]
         cells = domain.cells()
         return CellSet._of_grid(domain, map(cells.__getitem__, numbers))

@@ -12,7 +12,6 @@ weight at most 2C), subset enumeration below the cap otherwise.  Only
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -43,42 +42,10 @@ from .maxflow import (
     max_flow,
     minimize,
 )
-from .measure import MeasureData, SignedPair, are_mutually_singular, sum_measures
-from .oracle import DEFAULT_EXHAUSTIVE_CAP, ExhaustiveCapacityExceeded, _scan, scan_excess
+from .measure import MeasureData, SignedPair, _as_weight, are_mutually_singular, sum_measures
+from .oracle import ExhaustiveCapacityExceeded, _scan, resolve_cap, scan_excess
 
 ZERO = Fraction(0)
-
-ENV_CAP = "PERIVAR_EXHAUSTIVE_CAP"
-
-
-def resolve_cap(
-    explicit: Optional[int] = None,
-    file_option: Optional[int] = None,
-    *,
-    explicit_name: str = "exhaustive_cap",
-) -> int:
-    """Exhaustive-cap precedence: explicit flag > environment > file > default.
-
-    A cap is a nonnegative integer, not a bool; anything else raises
-    ``ValueError`` naming its source (``explicit_name`` for the explicit
-    value).
-    """
-    sources = (
-        (explicit_name, explicit),
-        (ENV_CAP, os.environ.get(ENV_CAP)),
-        ("the problem file's exhaustive_cap", file_option),
-    )
-    for name, raw in sources:
-        if raw is not None:
-            try:
-                cap = int(raw) if isinstance(raw, str) else _integer(raw, name)
-            except ValueError:
-                cap = -1
-            if cap < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
-            return cap
-    return DEFAULT_EXHAUSTIVE_CAP
-
 
 _RELATIVE_KINDS = ("relative", "relative-to-boundary")
 _KINDS = ("plain", "interior-rep", "avoid-ball") + _RELATIVE_KINDS
@@ -147,14 +114,10 @@ def _central_box(domain: GridDomain, radius: int) -> frozenset:
     )
 
 
-def _excess_terms(mu: MeasureData, C: Fraction, variant: ICVariant, cell_penalty=ZERO) -> dict:
+def _excess_terms(mu: MeasureData, variant: ICVariant) -> dict:
     """The variant's test class as keyword arguments of ``scan_excess`` and
     ``assemble_excess``: the admissible cells, the representative, and the
     region whose interior faces alone are charged (None for all faces)."""
-    if C < 0:
-        raise ValueError("C must be nonnegative")
-    if cell_penalty < 0:
-        raise ValueError("cell penalty must be nonnegative")
     if variant.omega is not None:
         _check_same_domain(mu, variant.omega)
     domain = mu.domain
@@ -193,10 +156,11 @@ def strong_excess(
 ) -> ExcessResult:
     """Maximum of mu(rep(A)) - C P(A) - penalty |A| over nonempty test sets.
 
-    The IC with constant C holds iff the returned value is <= 0.  Cuts the
-    compiled excess energy when it is submodular (every two-sided closure
-    face charged and no heavier than 2C), otherwise searches exhaustively
-    below the configured cap.
+    The IC with constant C holds iff the returned value is <= 0.  C and the
+    penalty are nonnegative ints or ``Fraction``s, as measure weights are.
+    Cuts the compiled excess energy when it is submodular (every two-sided
+    closure face charged and no heavier than 2C), otherwise searches
+    exhaustively below the configured cap.
 
     One max flow gives the best set, the empty one included.  If only the
     empty set attains it, one sweep over the sorted admissible cells
@@ -219,11 +183,11 @@ def strong_excess(
     """
     if method not in (None, "min-cut", "exhaustive"):
         raise ValueError(f"unknown method {method!r}; use 'min-cut' or 'exhaustive'")
-    C = Fraction(C)
-    cell_penalty = Fraction(cell_penalty)
+    C = _as_weight(C, "C")
+    cell_penalty = _as_weight(cell_penalty, "cell_penalty")
     variant = variant or ICVariant.plain()
     domain = mu.domain
-    terms = _excess_terms(mu, C, variant, cell_penalty)
+    terms = _excess_terms(mu, variant)
     admissible = terms["admissible"]
 
     report = None
@@ -328,6 +292,7 @@ def small_volume_profile(
 ) -> ICProfile:
     """Volume-budgeted excess profile, exact below the cap, enveloped above.
 
+    C and the penalty are taken as by ``strong_excess``.
     Above the enumeration cap the Lagrangian sweep yields exact values at
     witness volumes; other budgets carry the concave envelope value marked
     as an upper bound.  The sweep runs over lam in [0, lam_top], lam_top =
@@ -337,10 +302,10 @@ def small_volume_profile(
     first best single cell, read off the compiled energy with no max flow.
     lam = 0 and every crossing are ``strong_excess`` calls.
     """
-    C = Fraction(C)
-    cell_penalty = Fraction(cell_penalty)
+    C = _as_weight(C, "C")
+    cell_penalty = _as_weight(cell_penalty, "cell_penalty")
     variant = variant or ICVariant.plain()
-    terms = _excess_terms(mu, C, variant, cell_penalty)
+    terms = _excess_terms(mu, variant)
     admissible = terms["admissible"]
     if v_max is None:
         v_max = len(admissible)
@@ -448,6 +413,7 @@ def _face_sides(dims: tuple):
 def divergence_certificate(mu: MeasureData, C):
     """Route mu to the exterior through faces of capacity C, or refute.
 
+    C is a nonnegative int or ``Fraction``, as measure weights are.
     Feasible iff the strong IC (plain variant) holds; on feasibility the
     flow is decoded into a verified field, otherwise the min cut yields a
     witness set with mu(A+) > C P(A) whenever one exists.
@@ -475,9 +441,7 @@ def divergence_certificate(mu: MeasureData, C):
     integers: every residual is 0 and every |2 den sigma| <= 2 den C.  Only
     then are Fractions built, one per distinct value.
     """
-    C = Fraction(C)
-    if C < 0:
-        raise ValueError("C must be nonnegative")
+    C = _as_weight(C, "C")
     domain = mu.domain
     den = 2 * _common_den(C, *mu.face_weights.values(), *mu.cell_weights.values())
     Cs = _scaled(C, den)

@@ -51,6 +51,7 @@ from .energy import (
     check_submodular,
 )
 from .grid import CellSet
+from .measure import _as_weight
 
 
 class NonSubmodularError(ValueError):
@@ -522,10 +523,11 @@ def parametric_sweep(energy: BinaryEnergy, lam_lo, lam_hi) -> List[SweepPiece]:
     minimizers; each pair of adjacent samples bounds a piece, which takes
     the left sample's minimizer unless the two volumes agree.  The modular
     volume term preserves submodularity, and the canonical minimizers are
-    nested: volumes shrink as lam grows (asserted).
+    nested: volumes shrink as lam grows (asserted).  The ends are ints or
+    ``Fraction``s of either sign.
     """
-    lam_lo = Fraction(lam_lo)
-    lam_hi = Fraction(lam_hi)
+    lam_lo = _as_weight(lam_lo, "lam_lo", signed=True)
+    lam_hi = _as_weight(lam_hi, "lam_hi", signed=True)
     if lam_lo > lam_hi:
         raise ValueError("empty lambda range")
 

@@ -22,20 +22,27 @@ from .grid import (
     CellSet,
     Face,
     GridDomain,
+    NumberTypeError,
     _check_same_domain,
+    _integer,
     boundary_faces,
     closure_faces,
     interior_faces,
 )
 
 
-def _as_weight(w) -> Fraction:
+def _as_weight(w, name: str, signed: bool = False) -> Fraction:
+    """``w`` as a ``Fraction``: an int, a ``Fraction`` or another
+    ``numbers.Rational``, never a bool or a float.  Every rational that
+    comes from outside the package passes here.  Another type raises
+    ``NumberTypeError`` (a ``TypeError`` and a ``ValueError``) and, unless
+    ``signed``, a negative value raises ``ValueError``; both name ``name``."""
     if type(w) is not Fraction:
-        if not isinstance(w, Rational):
-            raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
+        if isinstance(w, bool) or not isinstance(w, Rational):
+            raise NumberTypeError(f"{name} takes exact rationals (an int or a Fraction), not {w!r}")
         w = Fraction(w)
-    if w < 0:
-        raise ValueError(f"weights must be nonnegative, got {w}")
+    if w < 0 and not signed:
+        raise ValueError(f"{name} must be nonnegative, got {w}")
     return w
 
 
@@ -53,14 +60,14 @@ class MeasureData:
             cell = tuple(cell)
             if not self.domain.contains_cell(cell):
                 raise ValueError(f"cell {cell} outside domain {self.domain.dims}")
-            w = _as_weight(w)
+            w = _as_weight(w, "cell_weights")
             if w:
                 cw[cell] = w
         fw = {}
         for face, w in self.face_weights.items():
             if not self.domain.contains_face(face):
                 raise ValueError(f"face {face} outside domain {self.domain.dims}")
-            w = _as_weight(w)
+            w = _as_weight(w, "face_weights")
             if w:
                 fw[face] = w
         object.__setattr__(self, "cell_weights", cw)
@@ -123,18 +130,19 @@ def mass_on_interior(mu: MeasureData, A: CellSet) -> Fraction:
 
 def hyperplane_measure(domain: GridDomain, axis: int, slot: int, weight) -> MeasureData:
     """Uniform weight on every face of one axis/slot hyperplane."""
+    axis, slot = _integer(axis, "axis"), _integer(slot, "slot")
     if not 0 <= axis < domain.d:
         raise ValueError(f"axis {axis} out of range for d={domain.d}")
     if not 0 <= slot <= domain.dims[axis]:
         raise ValueError(f"slot {slot} out of range [0, {domain.dims[axis]}]")
-    weight = _as_weight(weight)
+    weight = _as_weight(weight, "weight")
     faces = dict.fromkeys(domain._slot_faces(axis, slot), weight)
     return MeasureData._derived(domain, {}, faces)
 
 
 def boundary_measure(E: CellSet, theta) -> MeasureData:
     """theta per face of the reduced boundary of E (total mass theta*P(E))."""
-    theta = _as_weight(theta)
+    theta = _as_weight(theta, "theta")
     return MeasureData._derived(E.domain, {}, {f: theta for f in boundary_faces(E)})
 
 
@@ -150,7 +158,7 @@ def sum_measures(mu1: MeasureData, mu2: MeasureData) -> MeasureData:
 
 
 def scale(mu: MeasureData, lam) -> MeasureData:
-    lam = _as_weight(lam)
+    lam = _as_weight(lam, "lam")
     return MeasureData._derived(
         mu.domain,
         {c: w * lam for c, w in mu.cell_weights.items()},

@@ -22,12 +22,13 @@ compiled energy with the min cut; the route independent of both is
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import CLOSURE, BinaryEnergy, assemble_excess, flip_links, sweep_positions
-from .grid import CellSet, GridDomain, Region
+from .grid import CellSet, GridDomain, Region, _integer
 from .measure import MeasureData
 
 
@@ -43,6 +44,37 @@ class ExhaustiveCapacityExceeded(RuntimeError):
 
 
 DEFAULT_EXHAUSTIVE_CAP = 22
+
+ENV_CAP = "PERIVAR_EXHAUSTIVE_CAP"
+
+
+def resolve_cap(
+    explicit: Optional[int] = None,
+    file_option: Optional[int] = None,
+    *,
+    explicit_name: str = "exhaustive_cap",
+) -> int:
+    """Exhaustive-cap precedence: explicit flag > environment > file > default.
+
+    A cap is a nonnegative integer, not a bool; anything else raises
+    ``ValueError`` naming its source (``explicit_name`` for the explicit
+    value).
+    """
+    sources = (
+        (explicit_name, explicit),
+        (ENV_CAP, os.environ.get(ENV_CAP)),
+        ("the problem file's exhaustive_cap", file_option),
+    )
+    for name, raw in sources:
+        if raw is not None:
+            try:
+                cap = int(raw) if isinstance(raw, str) else _integer(raw, name)
+            except ValueError:
+                cap = -1
+            if cap < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
+            return cap
+    return DEFAULT_EXHAUSTIVE_CAP
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .frontier import FrontierBudgetExceeded, frontier_minimize
 from .grid import CellSet, Region, _check_same_domain, _integer
 from .maxflow import minimize, parametric_sweep
 from .measure import MeasureData, SignedPair
-from .oracle import _scan
-from .ic import resolve_cap
+from .oracle import _scan, resolve_cap
 
 
 class EmptyClassError(ValueError):

@@ -275,6 +275,10 @@ def test_every_scenario_takes_one_value_for_a_list(tmp_path, name):
         ("pseudoconvex", ["sizes=2"]),  # not (width, height) pairs
         ("convex-threshold", ["thetas=1/0"]),
         ("tentacle", ["w=2", "lengths=2.5"]),
+        # a word where a number belongs, refused by the parameter's name
+        ("tentacle", ["w=2", "lengths=1,2", "blob=abc"]),
+        ("interval-clusters", ["ells=1", "length=abc"]),
+        ("tentacle", ["w=abc", "lengths=1"]),
     ],
 )
 def test_unusable_experiment_params_exit_2(tmp_path, capsys, name, params):

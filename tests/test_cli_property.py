@@ -4,11 +4,15 @@ Problem documents are drawn valid under ``PROBLEM_SCHEMA`` on grids of
 at most 4 x 4 (2 x 2 x 2 in 3D), and half of them are then mutated: one
 value replaced by junk, one key dropped or one key added.  ``--problem``, ``--set`` and
 ``--out`` name a file, a directory, a missing path or a path below a
-file.  Every run must exit 0, 2 or 3, write at most one ``error:`` line
-or the non-submodular JSON, and print no traceback.
+file.  ``experiment`` runs every scenario with up to three ``--param``
+pairs, keyed by the scenario's parameters or an unknown key, valued by
+integers 0..4, short lists of them, rationals or junk, so every size
+stays small.  Every run must exit 0, 2 or 3, write at most one
+``error:`` line or the non-submodular JSON, and print no traceback.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -17,13 +21,18 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from perivar import CellSet, GridDomain
+from perivar import CellSet, GridDomain, experiments
 from perivar.cli import main
 from perivar.fileio import write_mask
 
 RATIONALS = st.sampled_from(["1", "1/2", "3/2", "2", "9/4", "5", 2, 0])
 JUNK = st.sampled_from(
     [None, True, -1, 0, 2, 2.5, "x", "nan", "1/0", [], {}, [1, 2, 3, 4], {"k": 1}]
+)
+PARAM_VALUES = st.one_of(
+    st.integers(0, 4).map(str),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["1/2", "9/4", "abc", "1/0", "2.5", "-1", "", "tentacle", "capacity"]),
 )
 COMMANDS = (
     ["minimize"],
@@ -134,6 +143,24 @@ def _path(draw, root: Path, name: str, made: Path) -> str:
     return str(draw(st.sampled_from([made] * 5 + bad)))
 
 
+def _check_run(argv) -> None:
+    """Run the CLI in process: exit 0, 2 or 3, no traceback, and on
+    failure one ``error:`` line or the non-submodular JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err
+    if code == 0:
+        assert err == ""
+    elif err.startswith("{"):
+        assert code == 3 and json.loads(err)["error"] == "non-submodular energy"
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=300, deadline=5000, derandomize=True, database=None)
 @given(st.data())
 def test_cli_exits_0_2_or_3_with_one_message(data):
@@ -153,17 +180,20 @@ def test_cli_exits_0_2_or_3_with_one_message(data):
             argv += ["--out", _path(data.draw, root, "o", root / "out")]
         if command[0] in ("minimize", "ic") and data.draw(st.booleans()):
             argv += ["--cap", str(data.draw(st.sampled_from([0, 4, 22])))]
+        _check_run(argv)
 
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    err = err.getvalue()
-    event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert "Traceback" not in out.getvalue() + err
-    if code == 0:
-        assert err == ""
-    elif err.startswith("{"):
-        assert code == 3 and json.loads(err)["error"] == "non-submodular energy"
-    else:
-        assert err.startswith("error: ") and err.count("\n") == 1
+
+@settings(max_examples=400, deadline=5000, derandomize=True, database=None)
+@given(st.data())
+def test_experiment_exits_0_2_or_3_with_one_message(data):
+    name = data.draw(st.sampled_from(sorted(experiments.SCENARIOS)))
+    keys = [k for k in inspect.signature(experiments.SCENARIOS[name]).parameters if k != "outdir"]
+    # most often every parameter, so runs get past the binding; at most three
+    chosen = [k for k in keys if data.draw(st.integers(0, 3))]
+    chosen = (chosen + ["unknown"] * (data.draw(st.integers(0, 3)) == 0))[:3]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = ["experiment", name, "--out", str(root / "out")]
+        for key in chosen:
+            argv += ["--param", f"{key}={data.draw(PARAM_VALUES)}"]
+        _check_run(argv)

@@ -85,12 +85,14 @@ def test_pseudoconvex_boxes():
 
 
 def test_pseudoconvex_refuses_non_integer_sizes():
-    with pytest.raises(ValueError, match="sizes takes integers, not 2.5"):
+    with pytest.raises(ValueError, match="sizes must be an integer, got 2.5"):
         run_pseudoconvex([(2.5, 2)])
-    with pytest.raises(ValueError, match="sizes takes integers, not 3/2"):
+    with pytest.raises(ValueError, match=r"sizes must be an integer, got Fraction\(3, 2\)"):
         run_pseudoconvex([(2, F(3, 2))])
-    # an integral float is that integer, and repeats collapse
-    assert run_pseudoconvex([(2, 2), (2.0, 2)]).params["sizes"] == [[2, 2]]
+    # an integral float is still a float, as in GridDomain((2.0, 2)); repeats collapse
+    with pytest.raises(ValueError, match="sizes must be an integer, got 2.0"):
+        run_pseudoconvex([(2, 2), (2.0, 2)])
+    assert run_pseudoconvex([(2, 2), (2, 2)]).params["sizes"] == [[2, 2]]
 
 
 def test_interval_clusters_threshold():

@@ -258,7 +258,7 @@ def test_bounded_sweep_matches_the_unbounded_sweep(rng, monkeypatch):
             mu = sum_measures(
                 mu, hyperplane_measure(d, axis, rng.randint(1, dims[axis] - 1), 2 * C)
             )
-        energy = assemble_excess(mu, C=C, cell_penalty=pen, **ic._excess_terms(mu, C, variant, pen))
+        energy = assemble_excess(mu, C=C, cell_penalty=pen, **ic._excess_terms(mu, variant))
         if not check_submodular(energy).ok:
             continue
         want = naive.unbounded_excess_sweep(energy)
@@ -439,7 +439,7 @@ def test_profile_top_end_matches_strong_excess(rng):
         variant = _random_variant(rng, d)
         mu = rand_measure(rng, d, n_faces=rng.randint(0, 5), n_cells=rng.randint(0, 2), hi=3)
         try:
-            terms = ic._excess_terms(mu, C, variant, pen)
+            terms = ic._excess_terms(mu, variant)
         except ValueError:  # the ball covers the grid
             continue
         witness, value = ic._best_single_cell(assemble_excess(mu, C=C, cell_penalty=pen, **terms))
@@ -467,7 +467,7 @@ def _old_envelope(mu, C, variant, v_max):
     for lam, witness, value in _breakpoints(solve, F(0), mu.total_mass() + 1):
         samples[lam] = -value - lam * witness.volume
         exact[witness.volume] = max(-value, exact.get(witness.volume, -value))
-    terms = ic._excess_terms(mu, C, variant)
+    terms = ic._excess_terms(mu, variant)
     energy = assemble_excess(mu, C=C, **terms)
     best_single = F(-min(flip_links(energy)[0]), energy.den)
     exact[1] = max(best_single, exact.get(1, best_single))
@@ -904,7 +904,7 @@ def test_assemble_excess_matches_definitions(rng):
         )
         C = rand_weight(rng, 0, 2, dens)
         pen = rng.choice([F(0), rand_weight(rng, 0, 1, dens)])
-        energy = assemble_excess(mu, C=C, **ic._excess_terms(mu, C, variant), cell_penalty=pen)
+        energy = assemble_excess(mu, C=C, **ic._excess_terms(mu, variant), cell_penalty=pen)
         fw, cw = as_raw(mu)
         mass = naive.closure_mass if rep == "closure" else naive.interior_mass
         for r in range(len(cells) + 1):

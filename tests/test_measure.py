@@ -7,20 +7,42 @@ from conftest import as_raw, counted, rand_cellset, rand_domain, rand_measure
 from perivar import (
     CellSet,
     Face,
+    FullSpace,
     GridDomain,
     MeasureData,
+    Region,
     SignedPair,
+    add_volume_term,
     are_mutually_singular,
+    assemble,
     boundary_faces,
     boundary_measure,
     closure_faces,
+    direct_value,
+    divergence_certificate,
+    evaluate,
     hyperplane_measure,
     mass_on_closure,
     mass_on_interior,
+    parametric_sweep,
     perimeter,
     restrict,
     scale,
+    small_volume_profile,
+    solve_dirichlet,
+    solve_obstacle,
+    strong_excess,
     sum_measures,
+)
+from perivar.energy import assemble_excess
+from perivar.experiments import (
+    run_capacity_scaling,
+    run_convex_threshold,
+    run_interval_clusters,
+    run_pseudoconvex,
+    run_refinement,
+    run_runaway_slab,
+    run_tentacle,
 )
 
 F = Fraction
@@ -57,6 +79,8 @@ def test_weights_must_be_exact():
         MeasureData(d, cell_weights={(0, 0): 0.5})
     with pytest.raises(TypeError, match="exact rationals"):
         MeasureData(d, face_weights={Face(0, 0, (0,)): "1"})
+    with pytest.raises(TypeError, match="cell_weights takes exact rationals"):
+        MeasureData(d, cell_weights={(0, 0): True})
     mu = MeasureData(d, cell_weights={(0, 0): 1}, face_weights={Face(0, 0, (0,)): F(1, 2)})
     assert mu.cell_weights == {(0, 0): F(1)} and type(mu.cell_weights[(0, 0)]) is Fraction
     for derive in (
@@ -70,6 +94,102 @@ def test_weights_must_be_exact():
         hyperplane_measure(d, 0, 0, F(-1))
     with pytest.raises(ValueError, match="nonnegative"):
         boundary_measure(CellSet.full(d), -1)
+
+
+_D = GridDomain((3, 3))
+_LINE = hyperplane_measure(_D, 1, 1, F(3, 2))
+_PAIR = SignedPair.of(_D, minus=_LINE)
+_FULL = CellSet.full(_D)
+_ENERGY = assemble(_PAIR, FullSpace())
+
+# every public number from outside the package, by the parameter that takes
+# it: (parameter, call, a good value, the answer there)
+GATED = [
+    ("C", lambda x: strong_excess(_LINE, x).value, F(3, 2), F(-9, 2)),
+    ("cell_penalty", lambda x: strong_excess(_LINE, 1, cell_penalty=x).value, F(1, 2), F(-3)),
+    (
+        "C",
+        lambda x: [e.phi for e in small_volume_profile(_LINE, x, v_max=3).entries],
+        F(1, 2),
+        [F(-1, 2), F(0), F(1, 2)],
+    ),
+    (
+        "cell_penalty",
+        lambda x: [
+            e.phi for e in small_volume_profile(_LINE, 1, v_max=3, cell_penalty=x).entries
+        ],
+        F(1, 2),
+        [F(-3)] * 3,
+    ),
+    ("C", lambda x: divergence_certificate(_LINE, x).max_abs_sigma(), F(3, 2), F(3, 2)),
+    ("C", lambda x: evaluate(assemble_excess(_LINE, _D.cells(), x), _FULL), F(1, 2), F(3, 2)),
+    (
+        "cell_penalty",
+        lambda x: evaluate(assemble_excess(_LINE, _D.cells(), 1, cell_penalty=x), _FULL),
+        F(1, 2),
+        F(12),
+    ),
+    ("perimeter_weight", lambda x: evaluate(assemble(_PAIR, FullSpace(), x), _FULL), F(1, 2), F(3, 2)),
+    (
+        "perimeter_weight",
+        lambda x: solve_obstacle(CellSet.empty(_D), _FULL, _PAIR, perimeter_weight=x).value,
+        F(4, 5),
+        F(0),
+    ),
+    (
+        "perimeter_weight",
+        lambda x: solve_dirichlet(_FULL, Region.of(_D, _D.cells()), _PAIR, perimeter_weight=x).value,
+        F(4, 5),
+        F(0),
+    ),
+    ("perimeter_weight", lambda x: direct_value(_PAIR, FullSpace(), _FULL, x), F(1, 2), F(3, 2)),
+    ("w", lambda x: run_tentacle(x, [2], blob=1).rows, F(5, 2), ((2, 3, 8, 5, 3, 4),)),
+    ("w", lambda x: run_interval_clusters([1], length=2, w=x).rows, F(3, 2), ((1, 3, 1, 2),)),
+    ("thetas", lambda x: run_convex_threshold([x], grid=2).rows, F(3, 2), ((F(3, 2), 4, -4, 0, -4),)),
+    # the signed ones
+    ("lam", lambda x: evaluate(add_volume_term(_ENERGY, x), _FULL), F(-1, 3), F(9, 2)),
+    (
+        "lam_lo",
+        lambda x: [(p.lam_lo, p.volume) for p in parametric_sweep(_ENERGY, x, 2)],
+        F(-3, 2),
+        [(F(-3, 2), 9), (F(-5, 6), 0)],
+    ),
+    (
+        "lam_hi",
+        lambda x: [(p.lam_lo, p.volume) for p in parametric_sweep(_ENERGY, -2, x)],
+        F(-1, 2),
+        [(F(-2), 9), (F(-5, 6), 0)],
+    ),
+    # the integers
+    ("lengths", lambda x: run_tentacle(2, [x], blob=1).rows, 2, ((2, 3, 8, 4, 4, 4),)),
+    ("blob", lambda x: run_tentacle(2, [1], blob=x).rows, 2, ((1, 5, 10, 2, 8, 8),)),
+    ("L", lambda x: run_runaway_slab(x, [0]).rows, 2, ((0, 2, 6, 8, -2, 0),)),
+    ("shifts", lambda x: run_runaway_slab(1, [x]).rows, 2, ((2, 1, 4, 4, 0, 0),)),
+    ("ks", lambda x: run_capacity_scaling([x]).rows, 2, ((2, 6, 4, F(3, 2)),)),
+    ("sizes", lambda x: run_pseudoconvex([(x, 1)], grid=3).rows, 2, ((2, 1, 0, 2, F(3, 2)),)),
+    ("ells", lambda x: run_interval_clusters([x], length=4).rows, 2, ((2, 2, 0, -1),)),
+    ("length", lambda x: run_interval_clusters([1], length=x).rows, 3, ((1, 1, -1, -1),)),
+    ("factors", lambda x: run_refinement("capacity", [x]).rows, 2, ((2, 4, 10, F(5, 4)),)),
+    ("axis", lambda x: len(hyperplane_measure(_D, x, 1, 1).face_weights), 0, 3),
+    ("slot", lambda x: len(hyperplane_measure(_D, 1, x, 1).face_weights), 3, 3),
+    ("lo", lambda x: CellSet.box(_D, (x, 0), (2, 1)).volume, 1, 4),
+    ("hi", lambda x: CellSet.box(_D, (0, 0), (x, 1)).volume, 1, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, good, answer", GATED, ids=[f"{i}-{case[0]}" for i, case in enumerate(GATED)]
+)
+def test_every_public_number_is_exact(name, call, good, answer):
+    # a float, a bool or a string is refused by the parameter's name, as an
+    # input error (ValueError) and as a wrong type (TypeError)
+    for bad in (0.1, True, "1"):
+        with pytest.raises(ValueError, match=rf"(^|of ){name} ") as refused:
+            call(bad)
+        assert isinstance(refused.value, TypeError)
+    assert call(good) == answer
+    if type(good) is Fraction:  # a rational takes an int as its Fraction
+        assert call(1) == call(F(1))
 
 
 def test_derived_measures_equal_checked_ones(rng):
